@@ -1,8 +1,12 @@
 #include "framework/coo_iter.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "order/hilbert.hpp"
+#include "parallel/counting_scatter.hpp"
+#include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
@@ -21,43 +25,62 @@ PartitionedCoo build_partitioned_coo(const Graph& g,
                                      EdgeOrder order) {
   const std::size_t P = part.num_partitions();
   VEBO_CHECK(P >= 1, "partitioned COO requires at least one partition");
+  const VertexId n = g.num_vertices();
+  VEBO_CHECK(part.begin(0) == 0 && part.end(P - 1) == n,
+             "partitioned COO: partitioning does not cover the vertices");
   PartitionedCoo out;
-  out.offsets.assign(P + 1, 0);
 
-  // Count edges per destination partition.
-  for (const Edge& e : g.coo().edges()) ++out.offsets[part.owner(e.dst) + 1];
-  for (std::size_t p = 1; p <= P; ++p) out.offsets[p] += out.offsets[p - 1];
+  if (order == EdgeOrder::Csc) {
+    // Partitions are contiguous destination ranges, so (dst, src) order
+    // within each one is the in-CSC read row by row.
+    const auto in_off = g.in_csr().offsets();
+    out.edges.resize(g.num_edges());
+    parallel_for(0, n, [&](std::size_t v) {
+      EdgeId e = in_off[v];
+      for (VertexId u : g.in_neighbors(static_cast<VertexId>(v)))
+        out.edges[e++] = {u, static_cast<VertexId>(v)};
+    });
+    for (VertexId b : part.boundaries) out.offsets.push_back(in_off[b]);
+    return out;
+  }
 
-  out.edges.resize(g.coo().edges().size());
-  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (const Edge& e : g.coo().edges())
-    out.edges[cursor[part.owner(e.dst)]++] = e;
+  // Stable scatter of the (src, dst)-sorted COO by destination partition:
+  // every partition comes out in CSR order without a sort.
+  std::vector<VertexId> owner(n);
+  for (VertexId p = 0; p < P; ++p)
+    std::fill(owner.begin() + part.begin(p), owner.begin() + part.end(p), p);
+  const auto coo = g.coo().edges();
+  const std::size_t m = coo.size();
+  const std::size_t B = scatter_block_count(m, P);
+  std::vector<std::size_t> blocks(B + 1);
+  for (std::size_t b = 0; b <= B; ++b) blocks[b] = b * m / B;
+  const std::vector<std::uint64_t> offsets = counting_scatter<Edge>(
+      P, blocks,
+      [&](std::size_t lo, std::size_t hi, auto&& emit) {
+        for (std::size_t i = lo; i < hi; ++i) emit(owner[coo[i].dst], coo[i]);
+      },
+      out.edges);
+  out.offsets.assign(offsets.begin(), offsets.end());
 
-  // Order edges within each partition.
-  const int k = order::hilbert_order_for(g.num_vertices());
-  for (std::size_t p = 0; p < P; ++p) {
-    auto lo = out.edges.begin() + static_cast<std::ptrdiff_t>(out.offsets[p]);
-    auto hi =
-        out.edges.begin() + static_cast<std::ptrdiff_t>(out.offsets[p + 1]);
-    switch (order) {
-      case EdgeOrder::Csr:
-        std::sort(lo, hi);
-        break;
-      case EdgeOrder::Csc:
-        std::sort(lo, hi, [](const Edge& a, const Edge& b) {
-          if (a.dst != b.dst) return a.dst < b.dst;
-          return a.src < b.src;
-        });
-        break;
-      case EdgeOrder::Hilbert:
-        std::sort(lo, hi, [k](const Edge& a, const Edge& b) {
-          const auto ha = order::hilbert_index(a.src, a.dst, k);
-          const auto hb = order::hilbert_index(b.src, b.dst, k);
-          if (ha != hb) return ha < hb;
-          return a < b;
-        });
-        break;
-    }
+  if (order == EdgeOrder::Hilbert) {
+    // Sort each partition by (curve index, edge), each index computed once.
+    const int k = order::hilbert_order_for(n);
+    ForOptions per_partition;
+    per_partition.grain = 1;
+    per_partition.serial_cutoff = 1;
+    parallel_for(
+        0, P,
+        [&](std::size_t p) {
+          Edge* es = out.edges.data() + out.offsets[p];
+          std::vector<std::pair<std::uint64_t, Edge>> keyed(
+              out.offsets[p + 1] - out.offsets[p]);
+          for (std::size_t i = 0; i < keyed.size(); ++i)
+            keyed[i] = {order::hilbert_index(es[i].src, es[i].dst, k), es[i]};
+          std::sort(keyed.begin(), keyed.end());
+          for (std::size_t i = 0; i < keyed.size(); ++i)
+            es[i] = keyed[i].second;
+        },
+        per_partition);
   }
   return out;
 }

@@ -32,7 +32,11 @@ struct PartitionedCoo {
   }
 };
 
-/// Builds the partitioned COO for a graph under a destination partitioning.
+/// Builds the partitioned COO for a graph under a destination partitioning
+/// that covers [0, n). CSR order is a stable parallel scatter of the
+/// graph's source-sorted COO (no sort); CSC order reads the in-CSC rows
+/// (no sort); Hilbert order scatters, then sorts each partition, in
+/// parallel over partitions. The result is identical at any thread count.
 PartitionedCoo build_partitioned_coo(const Graph& g,
                                      const order::Partitioning& part,
                                      EdgeOrder order);

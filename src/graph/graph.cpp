@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "parallel/parallel_for.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
@@ -18,23 +19,27 @@ Graph Graph::from_edges(EdgeList el) {
   return g;
 }
 
-Graph Graph::from_parts(Csr out, Csr in, EdgeList coo, bool directed) {
+Graph Graph::from_parts(Csr out, Csr in, bool directed) {
   VEBO_CHECK(out.num_vertices() == in.num_vertices(),
              "from_parts: CSR/CSC vertex counts disagree");
-  VEBO_CHECK(out.num_vertices() == coo.num_vertices(),
-             "from_parts: COO vertex count disagrees with CSR");
   VEBO_CHECK(out.num_edges() == in.num_edges(),
              "from_parts: CSR/CSC edge counts disagree");
-  VEBO_CHECK(out.num_edges() == coo.num_edges(),
-             "from_parts: COO edge count disagrees with CSR");
-  VEBO_CHECK(coo.is_sorted_by_source(), "from_parts: COO not sorted by source");
+  const VertexId n = out.num_vertices();
+  // COO straight from the out-CSR rows: already sorted by (src, dst).
+  std::vector<Edge> edges(out.num_edges());
+  const auto offsets = out.offsets();
+  parallel_for(0, n, [&](std::size_t v) {
+    EdgeId e = offsets[v];
+    for (VertexId w : out.neighbors(static_cast<VertexId>(v)))
+      edges[e++] = {static_cast<VertexId>(v), w};
+  });
   Graph g;
-  g.n_ = out.num_vertices();
+  g.n_ = n;
   g.m_ = out.num_edges();
   g.directed_ = directed;
   g.out_ = std::move(out);
   g.in_ = std::move(in);
-  g.coo_ = std::move(coo);
+  g.coo_ = EdgeList(n, std::move(edges), directed);
   return g;
 }
 

@@ -1,6 +1,9 @@
-// The Graph type: dual CSR/CSC adjacency plus the original COO, which is
-// what the frontier-based framework traverses (push uses out-edges, pull
-// uses in-edges) and what the GraphGrind COO path iterates.
+// The Graph type: dual CSR/CSC adjacency plus a COO copy of the out-CSR,
+// which is what the frontier-based framework traverses (push uses
+// out-edges, pull uses in-edges) and what the GraphGrind COO path iterates.
+// Rows are sorted ascending in both CSRs and the COO is sorted by
+// (src, dst) whichever builder made the graph, so two builds of one graph
+// are array-for-array equal.
 #pragma once
 
 #include <span>
@@ -16,17 +19,19 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds CSR (out) and CSC (in) from an edge list. The edge list is
-  /// retained (sorted by source) for COO traversal.
+  /// Builds CSR (out) and CSC (in) from an edge list by sorting it. The
+  /// edge list is retained (sorted by source) for COO traversal. This is
+  /// the cold-load path; relabelled graphs come from permute() and
+  /// DeltaGraph::snapshot(perm), which never sort (graph/relabel.hpp).
   static Graph from_edges(EdgeList el);
 
-  /// Builds a Graph from already-compacted parts without re-sorting: an
-  /// out-CSR, the matching in-CSC, and the COO (sorted by source). This is
-  /// the streaming snapshot hook — DeltaGraph::snapshot() merges its delta
-  /// blocks directly into CSR/CSC rows and hands them over here. Checks
-  /// cheap structural consistency (vertex counts, edge counts, COO sort
-  /// order); full row-content agreement is the caller's contract.
-  static Graph from_parts(Csr out, Csr in, EdgeList coo, bool directed);
+  /// Builds a Graph from an out-CSR and the matching in-CSC without
+  /// re-sorting; the COO is copied out of the out-CSR rows in parallel,
+  /// so it is sorted by (src, dst). This is the hook of every non-sorting
+  /// builder (permute, DeltaGraph snapshots). Checks cheap structural
+  /// consistency (vertex and edge counts); row-content agreement between
+  /// the two CSRs is the caller's contract.
+  static Graph from_parts(Csr out, Csr in, bool directed);
 
   VertexId num_vertices() const { return n_; }
   EdgeId num_edges() const { return m_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/relabel.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
@@ -49,6 +50,7 @@ Permutation identity_permutation(VertexId n) {
 EdgeList permute(const EdgeList& el, std::span<const VertexId> perm) {
   VEBO_CHECK(perm.size() == el.num_vertices(),
              "permute: permutation size != vertex count");
+  VEBO_CHECK(is_permutation(perm), "permute: not a bijection");
   std::vector<Edge> edges;
   edges.reserve(el.num_edges());
   for (const Edge& e : el.edges())
@@ -57,7 +59,18 @@ EdgeList permute(const EdgeList& el, std::span<const VertexId> perm) {
 }
 
 Graph permute(const Graph& g, std::span<const VertexId> perm) {
-  return Graph::from_edges(permute(g.coo(), perm));
+  VEBO_CHECK(perm.size() == g.num_vertices(),
+             "permute: permutation size != vertex count");
+  const Permutation inv = invert(perm);  // throws on a non-bijection
+  return relabel(
+      perm, inv, g.directed(), [&](VertexId v) { return g.out_degree(v); },
+      [&](VertexId v) { return g.in_degree(v); },
+      [&](VertexId v, auto&& fn) {
+        for (VertexId w : g.out_neighbors(v)) fn(w);
+      },
+      [&](VertexId v, auto&& fn) {
+        for (VertexId w : g.in_neighbors(v)) fn(w);
+      });
 }
 
 std::uint64_t structural_hash(const Graph& g) {

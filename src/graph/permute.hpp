@@ -1,6 +1,12 @@
 // Applying vertex permutations (reorderings) to graphs, and checking that
 // a reordered graph is isomorphic to the original. Every ordering algorithm
 // in src/order produces a permutation consumed by these functions.
+//
+// permute(Graph) is the relabel every ordering pays before it goes live.
+// It never sorts: each CSR is a parallel counting-sort transpose of the
+// other direction walked in new id order (graph/relabel.hpp), and the COO
+// is copied out of the new out-CSR. Its arrays equal those of
+// Graph::from_edges(permute(g.coo(), perm)) at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +27,8 @@ bool is_permutation(std::span<const VertexId> perm);
 /// True iff perm[v] == v for all v (no-op reordering).
 bool is_identity(std::span<const VertexId> perm);
 
-/// Inverse permutation: inv[perm[v]] = v.
+/// Inverse permutation: inv[perm[v]] = v. Throws vebo::Error unless
+/// `perm` is a bijection on 0..n-1.
 Permutation invert(std::span<const VertexId> perm);
 
 /// Composition: result[v] = outer[inner[v]] (apply inner first).
@@ -31,10 +38,12 @@ Permutation compose(std::span<const VertexId> outer,
 /// Identity permutation of size n.
 Permutation identity_permutation(VertexId n);
 
-/// Relabels every edge endpoint: (u,v) -> (perm[u], perm[v]).
+/// Relabels every edge endpoint: (u,v) -> (perm[u], perm[v]). Throws
+/// vebo::Error unless `perm` is a bijection on 0..n-1.
 EdgeList permute(const EdgeList& el, std::span<const VertexId> perm);
 
-/// Relabels and rebuilds the graph (CSR + CSC + COO).
+/// Relabels the graph (CSR + CSC + COO) in O(n + m) without sorting.
+/// Throws vebo::Error unless `perm` is a bijection on 0..n-1.
 Graph permute(const Graph& g, std::span<const VertexId> perm);
 
 /// Order-independent structural fingerprint of a graph: a hash over the

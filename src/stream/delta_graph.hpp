@@ -13,6 +13,10 @@
 // base+deltas into an immutable `Graph` (CSR + CSC + COO via
 // Graph::from_parts) in O(n + m) with per-vertex parallel merges, so every
 // engine and algorithm runs unchanged on any version of the graph.
+// `snapshot(perm)` builds the relabelled graph in one pass over the same
+// merged rows (a counting-sort transpose, graph/relabel.hpp): a publish
+// builds its graph once, with no original-id graph to throw away and no
+// sort. It equals permute(snapshot(), perm) array for array.
 #pragma once
 
 #include <span>
@@ -57,6 +61,11 @@ class DeltaGraph {
 
   /// Compacts base + deltas into an immutable Graph (CSR, CSC, COO).
   Graph snapshot() const;
+
+  /// The live graph relabelled by `perm` (new = perm[old]), built straight
+  /// from the merged rows; equals permute(snapshot(), perm). Throws
+  /// vebo::Error unless `perm` is a bijection on 0..num_vertices()-1.
+  Graph snapshot(std::span<const VertexId> perm) const;
 
   /// Folds all delta blocks into a fresh base (equivalent to rebuilding
   /// from `snapshot()`); clears every block. Call when `delta_edges()`

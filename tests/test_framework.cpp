@@ -3,7 +3,11 @@
 // the partitioned COO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "framework/edgemap.hpp"
 #include "framework/engine.hpp"
@@ -12,6 +16,7 @@
 #include "gen/synthetic.hpp"
 #include "graph/permute.hpp"
 #include "order/hilbert.hpp"
+#include "order/partition.hpp"
 #include "order/vebo.hpp"
 #include "support/error.hpp"
 
@@ -178,6 +183,69 @@ TEST(PartitionedCoo, HilbertOrderWithinPartition) {
       ASSERT_LE(order::hilbert_index(es[i - 1].src, es[i - 1].dst, k),
                 order::hilbert_index(es[i].src, es[i].dst, k));
   }
+}
+
+// The serial build the parallel one replaced: bucket every COO edge by a
+// binary-searched owner, then sort each partition in the requested order.
+PartitionedCoo reference_partitioned_coo(const Graph& g,
+                                         const order::Partitioning& part,
+                                         EdgeOrder order) {
+  const std::size_t P = part.num_partitions();
+  std::vector<std::vector<Edge>> buckets(P);
+  for (const Edge& e : g.coo().edges()) buckets[part.owner(e.dst)].push_back(e);
+  const int k = order::hilbert_order_for(g.num_vertices());
+  PartitionedCoo out;
+  out.offsets.push_back(0);
+  for (auto& b : buckets) {
+    switch (order) {
+      case EdgeOrder::Csr:
+        std::sort(b.begin(), b.end());
+        break;
+      case EdgeOrder::Csc:
+        std::sort(b.begin(), b.end(), [](const Edge& x, const Edge& y) {
+          return std::pair(x.dst, x.src) < std::pair(y.dst, y.src);
+        });
+        break;
+      case EdgeOrder::Hilbert:
+        std::sort(b.begin(), b.end(), [k](const Edge& x, const Edge& y) {
+          const auto hx = order::hilbert_index(x.src, x.dst, k);
+          const auto hy = order::hilbert_index(y.src, y.dst, k);
+          return hx != hy ? hx < hy : x < y;
+        });
+        break;
+    }
+    out.edges.insert(out.edges.end(), b.begin(), b.end());
+    out.offsets.push_back(out.edges.size());
+  }
+  return out;
+}
+
+TEST(PartitionedCoo, MatchesSerialReferenceInEveryOrder) {
+  const Graph base = gen::rmat(12, 8, 5);
+  const Graph g = permute(base, order::vebo(base, 8).perm);
+  const VertexId n = g.num_vertices();
+  std::vector<std::pair<std::string, order::Partitioning>> parts;
+  for (VertexId P : {1u, 4u, 384u})
+    parts.push_back({"P=" + std::to_string(P),
+                     order::partition_by_destination(g, P)});
+  // Empty partitions at the front, in the middle and at the back.
+  parts.push_back({"empty partitions",
+                   order::Partitioning{{0, 0, 100, 100, 2000, n, n}}});
+  for (const auto& [name, part] : parts) {
+    for (EdgeOrder o : {EdgeOrder::Csr, EdgeOrder::Csc, EdgeOrder::Hilbert}) {
+      SCOPED_TRACE(name + " " + to_string(o));
+      const PartitionedCoo want = reference_partitioned_coo(g, part, o);
+      const PartitionedCoo got = build_partitioned_coo(g, part, o);
+      EXPECT_EQ(want.offsets, got.offsets);
+      EXPECT_EQ(want.edges, got.edges);
+    }
+  }
+}
+
+TEST(PartitionedCoo, RejectsPartitioningThatMissesVertices) {
+  const Graph g = gen::rmat(8, 4, 2);
+  const order::Partitioning short_part{{0, 10, g.num_vertices() - 1}};
+  EXPECT_THROW(build_partitioned_coo(g, short_part, EdgeOrder::Csr), Error);
 }
 
 // -------------------------------------------------------------- edgemap

@@ -2,12 +2,18 @@
 // degree statistics, permutation machinery, and I/O round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <sstream>
 
+#include "gen/erdos.hpp"
+#include "gen/powerlaw.hpp"
+#include "gen/rmat.hpp"
+#include "gen/road.hpp"
 #include "gen/synthetic.hpp"
 #include "graph/degree.hpp"
 #include "graph/graph.hpp"
@@ -125,10 +131,10 @@ TEST(Graph, FromEdgesBuildsBothDirections) {
 
 TEST(Graph, FromPartsMatchesFromEdges) {
   const Graph g = Graph::from_edges(small_list());
-  const Graph h = Graph::from_parts(g.out_csr(), g.in_csr(),
-                                    g.coo(), g.directed());
+  const Graph h = Graph::from_parts(g.out_csr(), g.in_csr(), g.directed());
   EXPECT_EQ(g.out_csr(), h.out_csr());
   EXPECT_EQ(g.in_csr(), h.in_csr());
+  EXPECT_TRUE(std::ranges::equal(g.coo().edges(), h.coo().edges()));
   EXPECT_EQ(g.num_vertices(), h.num_vertices());
   EXPECT_EQ(g.num_edges(), h.num_edges());
   EXPECT_EQ(structural_hash(g), structural_hash(h));
@@ -137,12 +143,12 @@ TEST(Graph, FromPartsMatchesFromEdges) {
 TEST(Graph, FromPartsRejectsInconsistentParts) {
   const Graph g = Graph::from_edges(small_list());
   // CSC with the wrong edge count.
-  EXPECT_THROW(Graph::from_parts(g.out_csr(), Csr({0, 0, 0, 0, 0}, {}),
-                                 g.coo(), true),
+  EXPECT_THROW(Graph::from_parts(g.out_csr(), Csr({0, 0, 0, 0, 0}, {}), true),
                Error);
-  // COO with the wrong vertex count.
-  EXPECT_THROW(Graph::from_parts(g.out_csr(), g.in_csr(),
-                                 EdgeList(5, {}, true), true),
+  // CSC with the wrong vertex count.
+  EXPECT_THROW(Graph::from_parts(g.out_csr(), Csr({0, 0, 0, 0, 0, 4},
+                                                  {0, 0, 1, 3}),
+                                 true),
                Error);
 }
 
@@ -242,6 +248,82 @@ TEST(Permute, IsomorphismFailsForWrongWitness) {
 TEST(Permute, RejectsSizeMismatch) {
   const Graph g = Graph::from_edges(small_list());
   EXPECT_THROW(permute(g, Permutation{0, 1}), Error);
+}
+
+TEST(Permute, RejectsNonBijection) {
+  // A 4-cycle: mapping two vertices to one id would merge them.
+  const Graph g =
+      Graph::from_edges(EdgeList(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, true));
+  EXPECT_THROW(permute(g, Permutation{0, 0, 1, 2}), Error);
+  EXPECT_THROW(permute(g, Permutation{0, 1, 2, 4}), Error);
+  EXPECT_THROW(permute(g.coo(), Permutation{0, 0, 1, 2}), Error);
+}
+
+// The relabel permute() used to do: sort the relabelled COO. Kept here
+// only as the reference the transpose-built permute must match.
+Graph sorted_permute(const Graph& g, std::span<const VertexId> perm) {
+  return Graph::from_edges(permute(g.coo(), perm));
+}
+
+Permutation shuffled(VertexId n, std::uint64_t seed) {
+  Permutation p = identity_permutation(n);
+  std::mt19937_64 rng(seed);
+  std::shuffle(p.begin(), p.end(), rng);
+  return p;
+}
+
+void expect_same_arrays(const Graph& want, const Graph& got) {
+  EXPECT_EQ(want.num_vertices(), got.num_vertices());
+  EXPECT_EQ(want.num_edges(), got.num_edges());
+  EXPECT_EQ(want.directed(), got.directed());
+  EXPECT_EQ(want.out_csr(), got.out_csr());
+  EXPECT_EQ(want.in_csr(), got.in_csr());
+  EXPECT_EQ(want.coo().num_vertices(), got.coo().num_vertices());
+  EXPECT_EQ(want.coo().directed(), got.coo().directed());
+  EXPECT_TRUE(std::ranges::equal(want.coo().edges(), got.coo().edges()));
+}
+
+TEST(Permute, MatchesSortedRelabelOnGeneratedGraphs) {
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"rmat", gen::rmat(12, 8, 3)},
+      {"powerlaw", gen::zipf_directed(4000, 5)},
+      {"chung_lu", gen::chung_lu(3000, 2.0, 8.0, 7)},
+      {"road", gen::road_grid(40, 60, 9)},
+      {"erdos", gen::erdos_renyi(2000, 16000, 11)},
+  };
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    for (std::uint64_t seed : {1u, 2u}) {
+      const Permutation p = shuffled(g.num_vertices(), seed);
+      expect_same_arrays(sorted_permute(g, p), permute(g, p));
+    }
+    const Permutation id = identity_permutation(g.num_vertices());
+    expect_same_arrays(g, permute(g, id));
+  }
+}
+
+TEST(Permute, MatchesSortedRelabelOnEdgeCases) {
+  const std::vector<std::pair<std::string, EdgeList>> lists = {
+      {"empty", EdgeList(0, {}, true)},
+      {"single vertex", EdgeList(1, {}, true)},
+      {"single self-loop", EdgeList(1, {{0, 0}}, true)},
+      {"isolated vertices", EdgeList(12, {{3, 7}, {7, 3}, {9, 3}}, true)},
+      {"self-loops and multi-edges",
+       EdgeList(6, {{0, 0}, {1, 2}, {1, 2}, {2, 1}, {5, 5}, {5, 0}, {0, 5}},
+                true)},
+  };
+  for (const auto& [name, el] : lists) {
+    SCOPED_TRACE(name);
+    const Graph g = Graph::from_edges(el);
+    const Permutation p = shuffled(g.num_vertices(), 4);
+    expect_same_arrays(sorted_permute(g, p), permute(g, p));
+  }
+  EdgeList und(50, {{0, 1}, {1, 2}, {2, 0}, {10, 40}, {40, 41}}, true);
+  und.symmetrize();
+  const Graph g = Graph::from_edges(und);
+  ASSERT_FALSE(g.directed());
+  const Permutation p = shuffled(g.num_vertices(), 8);
+  expect_same_arrays(sorted_permute(g, p), permute(g, p));
 }
 
 // ------------------------------------------------------------------- io

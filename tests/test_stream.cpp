@@ -239,6 +239,74 @@ TEST(DeltaGraph, RandomBatchesSnapshotEquivalence) {
   expect_snapshot_equals(dg, reference_graph(n, ref));
 }
 
+void expect_same_arrays(const Graph& want, const Graph& got) {
+  EXPECT_EQ(want.num_vertices(), got.num_vertices());
+  EXPECT_EQ(want.num_edges(), got.num_edges());
+  EXPECT_EQ(want.directed(), got.directed());
+  EXPECT_EQ(want.out_csr(), got.out_csr());
+  EXPECT_EQ(want.in_csr(), got.in_csr());
+  EXPECT_TRUE(std::ranges::equal(want.coo().edges(), got.coo().edges()));
+}
+
+Permutation random_perm(VertexId n, Xoshiro256& rng) {
+  Permutation p = identity_permutation(n);
+  for (VertexId i = n; i > 1; --i)
+    std::swap(p[i - 1], p[rng.next_below(i)]);
+  return p;
+}
+
+// Property: the relabelled snapshot built straight from the merged rows
+// equals relabelling the plain snapshot, under random insert/remove
+// batches on a base graph, vertex growth, and compaction.
+void check_relabelled_snapshots(DeltaGraph& dg, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  for (int b = 0; b < 12; ++b) {
+    std::vector<EdgeUpdate> batch;
+    // Every fourth batch names vertices past the current count (growth).
+    VertexId reach = dg.num_vertices();
+    if (reach == 0 || b % 4 == 3) reach += 40;
+    for (int i = 0; i < 400; ++i) {
+      const VertexId s = static_cast<VertexId>(rng.next_below(reach));
+      const VertexId d = static_cast<VertexId>(rng.next_below(reach / 4 + 1));
+      batch.push_back(rng.next_below(8) == 0 ? EdgeUpdate::remove(s, d)
+                                             : EdgeUpdate::insert(s, d));
+    }
+    dg.apply_batch(batch);
+    if (b == 7) dg.compact();
+    SCOPED_TRACE(b);
+    const Permutation p = random_perm(dg.num_vertices(), rng);
+    expect_same_arrays(permute(dg.snapshot(), p), dg.snapshot(p));
+  }
+  const Permutation id = identity_permutation(dg.num_vertices());
+  expect_same_arrays(dg.snapshot(), dg.snapshot(id));
+}
+
+TEST(DeltaGraph, RelabelledSnapshotMatchesPermutedSnapshot) {
+  DeltaGraph dg(gen::rmat(11, 8, 17));
+  check_relabelled_snapshots(dg, 5);
+}
+
+TEST(DeltaGraph, RelabelledSnapshotMatchesOnUndirectedAndEmptyStarts) {
+  EdgeList el = gen::rmat_edges(10, 6, 19);
+  el.remove_self_loops();
+  el.symmetrize();
+  DeltaGraph und(Graph::from_edges(el));
+  ASSERT_FALSE(und.directed());
+  check_relabelled_snapshots(und, 6);
+  DeltaGraph empty(0);
+  expect_same_arrays(empty.snapshot(), empty.snapshot(Permutation{}));
+  check_relabelled_snapshots(empty, 7);
+}
+
+TEST(DeltaGraph, RelabelledSnapshotRejectsNonBijection) {
+  DeltaGraph dg(gen::rmat(6, 4, 2));
+  Permutation p = identity_permutation(dg.num_vertices());
+  p[1] = 0;
+  EXPECT_THROW(dg.snapshot(p), Error);
+  p.pop_back();
+  EXPECT_THROW(dg.snapshot(p), Error);
+}
+
 // bfs/cc/pagerank agree on the streamed snapshot across all three
 // engines, matching the from_edges rebuild.
 TEST(DeltaGraph, AlgorithmsAgreeOnSnapshotAcrossEngines) {
@@ -448,7 +516,7 @@ TEST(Maintainer, DriftTriggersIncrementalAndRestoresBounds) {
 
   // The maintained loads must match a from-scratch profile of the
   // reordered snapshot under the maintained partitioning.
-  const Graph reordered = permute(dg.snapshot(), m.ordering().perm);
+  const Graph reordered = dg.snapshot(m.ordering().perm);
   const auto prof = metrics::profile_partitions(reordered, m.partitioning());
   EXPECT_EQ(prof.edges, m.ordering().part_edges);
   EXPECT_LE(prof.edge_imbalance(), m.edge_bound(dg));
