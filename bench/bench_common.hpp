@@ -84,7 +84,7 @@ inline OrderedGraphSet build_ordered_set(
     set.order_seconds[name] = dt;
     set.by_order.emplace(name,
                          name == "Orig."
-                             ? Graph::from_edges(set.original.coo())
+                             ? set.original
                              : permute(set.original, perm));
   }
   return set;

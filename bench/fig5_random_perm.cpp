@@ -29,7 +29,7 @@ std::vector<Variant> make_variants(const Graph& g) {
   std::vector<Variant> out;
   const VertexId P = bench::kPaperPartitions;
 
-  out.push_back({"Original", Graph::from_edges(g.coo()),
+  out.push_back({"Original", g,
                  order::partition_by_destination(g, P), false});
 
   const auto rv = order::vebo(g, P);
@@ -37,7 +37,7 @@ std::vector<Variant> make_variants(const Graph& g) {
 
   const Permutation rnd = order::random_order(g.num_vertices(), 7);
   const Graph grnd = permute(g, rnd);
-  out.push_back({"Random", Graph::from_edges(grnd.coo()),
+  out.push_back({"Random", grnd,
                  order::partition_by_destination(grnd, P), false});
 
   const auto rrv = order::vebo(grnd, P);

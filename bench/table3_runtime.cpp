@@ -65,7 +65,7 @@ int main() {
     for (const auto& oname : {"Orig.", "RCM", "Gorder"}) {
       const Permutation perm = bench::compute_ordering(oname, g);
       ordered.emplace(oname, oname == std::string("Orig.")
-                                 ? Graph::from_edges(g.coo())
+                                 ? g
                                  : permute(g, perm));
     }
 

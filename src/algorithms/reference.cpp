@@ -53,7 +53,8 @@ class UnionFind {
 
 std::vector<VertexId> wcc_labels(const Graph& g) {
   UnionFind uf(g.num_vertices());
-  for (const Edge& e : g.coo().edges()) uf.unite(e.src, e.dst);
+  for (VertexId u = 0; u < g.num_vertices(); ++u)
+    for (VertexId w : g.out_neighbors(u)) uf.unite(u, w);
   std::vector<VertexId> label(g.num_vertices());
   // Roots are minimal ids by the union rule, but path compression can
   // leave stale parents; a final find pass canonicalizes. Then map every
@@ -138,8 +139,9 @@ std::vector<double> brandes_dependency(const Graph& g, VertexId source) {
 
 std::vector<double> spmv(const Graph& g, const std::vector<double>& x) {
   std::vector<double> y(g.num_vertices(), 0.0);
-  for (const Edge& e : g.coo().edges())
-    y[e.dst] += edge_weight(e.src, e.dst) * x[e.src];
+  for (VertexId u = 0; u < g.num_vertices(); ++u)
+    for (VertexId w : g.out_neighbors(u))
+      y[w] += edge_weight(u, w) * x[u];
   return y;
 }
 

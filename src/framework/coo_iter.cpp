@@ -44,20 +44,27 @@ PartitionedCoo build_partitioned_coo(const Graph& g,
     return out;
   }
 
-  // Stable scatter of the (src, dst)-sorted COO by destination partition:
-  // every partition comes out in CSR order without a sort.
+  // Stable scatter of the out-CSR rows, walked in (src, dst) order, by
+  // destination partition: every partition comes out in CSR order without
+  // a sort. Blocks are row ranges balanced by edges.
   std::vector<VertexId> owner(n);
   for (VertexId p = 0; p < P; ++p)
     std::fill(owner.begin() + part.begin(p), owner.begin() + part.end(p), p);
-  const auto coo = g.coo().edges();
-  const std::size_t m = coo.size();
+  const auto out_off = g.out_csr().offsets();
+  const EdgeId m = g.num_edges();
   const std::size_t B = scatter_block_count(m, P);
-  std::vector<std::size_t> blocks(B + 1);
-  for (std::size_t b = 0; b <= B; ++b) blocks[b] = b * m / B;
+  std::vector<std::size_t> blocks(B + 1, n);
+  for (std::size_t b = 0; b < B; ++b)
+    blocks[b] = static_cast<std::size_t>(
+        std::lower_bound(out_off.begin(), out_off.end() - 1, b * m / B) -
+        out_off.begin());
   const std::vector<std::uint64_t> offsets = counting_scatter<Edge>(
       P, blocks,
       [&](std::size_t lo, std::size_t hi, auto&& emit) {
-        for (std::size_t i = lo; i < hi; ++i) emit(owner[coo[i].dst], coo[i]);
+        for (std::size_t v = lo; v < hi; ++v) {
+          const auto u = static_cast<VertexId>(v);
+          for (VertexId w : g.out_neighbors(u)) emit(owner[w], Edge{u, w});
+        }
       },
       out.edges);
   out.offsets.assign(offsets.begin(), offsets.end());

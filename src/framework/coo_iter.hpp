@@ -4,6 +4,8 @@
 // freedom: only the owning partition writes a destination), and within a
 // partition ordered by CSR (source-major), CSC (destination-major) or the
 // Hilbert space-filling curve — the axis studied in Section V-G / Fig. 6.
+// As in GraphGrind, this COO exists only per engine, built from the
+// graph's CSR/CSC rows; a Graph itself stores no COO.
 #pragma once
 
 #include <cstddef>
@@ -34,9 +36,9 @@ struct PartitionedCoo {
 
 /// Builds the partitioned COO for a graph under a destination partitioning
 /// that covers [0, n). CSR order is a stable parallel scatter of the
-/// graph's source-sorted COO (no sort); CSC order reads the in-CSC rows
-/// (no sort); Hilbert order scatters, then sorts each partition, in
-/// parallel over partitions. The result is identical at any thread count.
+/// out-CSR rows (no sort); CSC order reads the in-CSC rows (no sort);
+/// Hilbert order scatters, then sorts each partition, in parallel over
+/// partitions. The result is identical at any thread count.
 PartitionedCoo build_partitioned_coo(const Graph& g,
                                      const order::Partitioning& part,
                                      EdgeOrder order);

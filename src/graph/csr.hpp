@@ -2,13 +2,13 @@
 //
 // A Csr groups edges by one endpoint: grouped by source it is the classic
 // CSR (out-edges), grouped by destination it is the CSC (in-edges) that
-// the paper's destination-partitioning operates on.
+// the paper's destination-partitioning operates on. Graphs build theirs by
+// counting-sort transposes (graph/relabel.hpp), never by sorting rows.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "graph/edge_list.hpp"
 #include "graph/types.hpp"
 
 namespace vebo {
@@ -16,11 +16,6 @@ namespace vebo {
 class Csr {
  public:
   Csr() = default;
-
-  /// Builds from an edge list. If `by_destination` the rows are destination
-  /// vertices and the values are sources (CSC); otherwise rows are sources
-  /// and values are destinations. Neighbor lists are sorted ascending.
-  static Csr build(const EdgeList& el, bool by_destination);
 
   /// Builds directly from rows: offsets has n+1 entries, neighbors has
   /// offsets[n] entries.

@@ -1,7 +1,8 @@
 // COO (coordinate format) edge list: the canonical ingestion and
-// interchange representation. Generators produce EdgeLists, CSR/CSC are
-// built from them, and the GraphGrind-style dense traversal iterates a COO
-// directly in CSR or Hilbert edge order.
+// interchange representation. Generators and readers produce EdgeLists and
+// Graph::from_edges turns them into CSR/CSC; a Graph keeps no EdgeList
+// (Graph::coo() is a view of its out-CSR, and to_edge_list() copies one
+// out when an owning list is needed).
 #pragma once
 
 #include <span>

@@ -2,21 +2,38 @@
 
 #include <sstream>
 
-#include "parallel/parallel_for.hpp"
+#include "graph/relabel.hpp"
+#include "parallel/counting_scatter.hpp"
 #include "support/error.hpp"
 
 namespace vebo {
 
 Graph Graph::from_edges(EdgeList el) {
-  Graph g;
-  el.sort_by_source();
-  g.n_ = el.num_vertices();
-  g.m_ = el.num_edges();
-  g.directed_ = el.directed();
-  g.out_ = Csr::build(el, /*by_destination=*/false);
-  g.in_ = Csr::build(el, /*by_destination=*/true);
-  g.coo_ = std::move(el);
-  return g;
+  const VertexId n = el.num_vertices();
+  const bool directed = el.directed();
+  // In-rows holding each destination's sources in input order.
+  std::vector<VertexId> sources;
+  std::vector<EdgeId> offsets;
+  {
+    const auto edges = el.edges();
+    const std::size_t m = edges.size();
+    const std::size_t B = scatter_block_count(m, n);
+    std::vector<std::size_t> blocks(B + 1);
+    for (std::size_t b = 0; b <= B; ++b) blocks[b] = b * m / B;
+    offsets = counting_scatter<VertexId>(
+        n, blocks,
+        [&](std::size_t lo, std::size_t hi, auto&& emit) {
+          for (std::size_t i = lo; i < hi; ++i)
+            emit(edges[i].dst, edges[i].src);
+        },
+        sources);
+  }
+  el = EdgeList();  // the input is not needed past the first scatter
+  // Each transpose walks its input rows in ascending id, so its rows come
+  // out sorted whatever order the input rows were in.
+  Csr out = transpose(Csr(std::move(offsets), std::move(sources)));
+  Csr in = transpose(out);
+  return from_parts(std::move(out), std::move(in), directed);
 }
 
 Graph Graph::from_parts(Csr out, Csr in, bool directed) {
@@ -24,22 +41,12 @@ Graph Graph::from_parts(Csr out, Csr in, bool directed) {
              "from_parts: CSR/CSC vertex counts disagree");
   VEBO_CHECK(out.num_edges() == in.num_edges(),
              "from_parts: CSR/CSC edge counts disagree");
-  const VertexId n = out.num_vertices();
-  // COO straight from the out-CSR rows: already sorted by (src, dst).
-  std::vector<Edge> edges(out.num_edges());
-  const auto offsets = out.offsets();
-  parallel_for(0, n, [&](std::size_t v) {
-    EdgeId e = offsets[v];
-    for (VertexId w : out.neighbors(static_cast<VertexId>(v)))
-      edges[e++] = {static_cast<VertexId>(v), w};
-  });
   Graph g;
-  g.n_ = n;
+  g.n_ = out.num_vertices();
   g.m_ = out.num_edges();
   g.directed_ = directed;
   g.out_ = std::move(out);
   g.in_ = std::move(in);
-  g.coo_ = EdgeList(n, std::move(edges), directed);
   return g;
 }
 

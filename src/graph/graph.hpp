@@ -1,9 +1,10 @@
-// The Graph type: dual CSR/CSC adjacency plus a COO copy of the out-CSR,
-// which is what the frontier-based framework traverses (push uses
-// out-edges, pull uses in-edges) and what the GraphGrind COO path iterates.
-// Rows are sorted ascending in both CSRs and the COO is sorted by
-// (src, dst) whichever builder made the graph, so two builds of one graph
-// are array-for-array equal.
+// The Graph type: dual CSR/CSC adjacency, which is what the frontier-based
+// framework traverses (push uses out-edges, pull uses in-edges). The edge
+// set is stored once per direction and nowhere else: coo() is a view of
+// the out-CSR in (src, dst) order, and the GraphGrind path builds its
+// partitioned COO from the rows (framework/coo_iter.hpp). Rows are sorted
+// ascending in both CSRs whichever builder made the graph, so two builds
+// of one graph are array-for-array equal.
 #pragma once
 
 #include <span>
@@ -11,6 +12,7 @@
 
 #include "graph/csr.hpp"
 #include "graph/edge_list.hpp"
+#include "graph/edge_view.hpp"
 #include "graph/types.hpp"
 
 namespace vebo {
@@ -19,18 +21,19 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds CSR (out) and CSC (in) from an edge list by sorting it. The
-  /// edge list is retained (sorted by source) for COO traversal. This is
-  /// the cold-load path; relabelled graphs come from permute() and
-  /// DeltaGraph::snapshot(perm), which never sort (graph/relabel.hpp).
+  /// Builds CSR (out) and CSC (in) from an edge list without a comparison
+  /// sort: a stable counting scatter by destination, whose unsorted in-rows
+  /// are released with the input, then two counting-sort transposes
+  /// (graph/relabel.hpp) give the sorted out-CSR and in-CSC. Multi-edges
+  /// and self-loops are kept. This is the cold-load path; relabelled
+  /// graphs come from permute() and DeltaGraph::snapshot(perm).
   static Graph from_edges(EdgeList el);
 
   /// Builds a Graph from an out-CSR and the matching in-CSC without
-  /// re-sorting; the COO is copied out of the out-CSR rows in parallel,
-  /// so it is sorted by (src, dst). This is the hook of every non-sorting
-  /// builder (permute, DeltaGraph snapshots). Checks cheap structural
-  /// consistency (vertex and edge counts); row-content agreement between
-  /// the two CSRs is the caller's contract.
+  /// re-sorting. This is the hook of every builder (from_edges, permute,
+  /// DeltaGraph snapshots). Checks cheap structural consistency (vertex and
+  /// edge counts); row-content agreement between the two CSRs is the
+  /// caller's contract.
   static Graph from_parts(Csr out, Csr in, bool directed);
 
   VertexId num_vertices() const { return n_; }
@@ -51,7 +54,8 @@ class Graph {
 
   const Csr& out_csr() const { return out_; }
   const Csr& in_csr() const { return in_; }
-  const EdgeList& coo() const { return coo_; }
+  /// The edges in (src, dst) order, read from the out-CSR (no copy).
+  EdgeView coo() const { return {out_, directed_}; }
 
   /// Maximum in-degree; N in the paper is max_in_degree()+1.
   EdgeId max_in_degree() const;
@@ -68,9 +72,8 @@ class Graph {
   VertexId n_ = 0;
   EdgeId m_ = 0;
   bool directed_ = true;
-  Csr out_;       // rows = sources
-  Csr in_;        // rows = destinations (CSC)
-  EdgeList coo_;  // sorted by source
+  Csr out_;  // rows = sources
+  Csr in_;   // rows = destinations (CSC)
 };
 
 }  // namespace vebo

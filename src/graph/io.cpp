@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "graph/relabel.hpp"
 #include "support/error.hpp"
 
 namespace vebo::io {
@@ -35,18 +36,16 @@ void check_csr_rows(VertexId n, const std::vector<EdgeId>& offsets,
              "offset table does not cover the edge array");
 }
 
-Graph graph_from_csr_rows(VertexId n, const std::vector<EdgeId>& offsets,
-                          const std::vector<VertexId>& targets,
-                          bool directed) {
+/// The graph whose out-rows are `targets` split at `offsets`, entries in
+/// any order within a row: the transpose gives the sorted in-CSC, and its
+/// transpose the sorted out-CSR (graph/relabel.hpp), as Graph::from_edges.
+Graph graph_from_csr_rows(VertexId n, std::vector<EdgeId> offsets,
+                          std::vector<VertexId> targets, bool directed) {
   check_csr_rows(n, offsets, targets.size());
-  std::vector<Edge> edges;
-  edges.reserve(targets.size());
-  for (VertexId v = 0; v < n; ++v)
-    for (EdgeId e = offsets[v]; e < offsets[v + 1]; ++e) {
-      VEBO_CHECK(targets[e] < n, "target vertex out of range");
-      edges.push_back({v, targets[e]});
-    }
-  return Graph::from_edges(EdgeList(n, std::move(edges), directed));
+  for (VertexId t : targets) VEBO_CHECK(t < n, "target vertex out of range");
+  Csr in = transpose(Csr(std::move(offsets), std::move(targets)));
+  Csr out = transpose(in);
+  return Graph::from_parts(std::move(out), std::move(in), directed);
 }
 }  // namespace
 
@@ -101,8 +100,8 @@ Graph read_adjacency(std::istream& is, bool directed) {
     is >> targets[e];
     VEBO_CHECK(!is.fail(), "truncated edge targets");
   }
-  return graph_from_csr_rows(static_cast<VertexId>(n), offsets, targets,
-                             directed);
+  return graph_from_csr_rows(static_cast<VertexId>(n), std::move(offsets),
+                             std::move(targets), directed);
 }
 
 Graph read_adjacency_file(const std::string& path, bool directed) {
@@ -201,8 +200,8 @@ Graph read_binary_file(const std::string& path) {
   std::vector<VertexId> targets(m);
   get(offsets.data(), offsets.size() * sizeof(EdgeId));
   get(targets.data(), targets.size() * sizeof(VertexId));
-  return graph_from_csr_rows(static_cast<VertexId>(n), offsets, targets,
-                             dir != 0);
+  return graph_from_csr_rows(static_cast<VertexId>(n), std::move(offsets),
+                             std::move(targets), dir != 0);
 }
 
 }  // namespace vebo::io

@@ -4,9 +4,9 @@
 //
 // permute(Graph) is the relabel every ordering pays before it goes live.
 // It never sorts: each CSR is a parallel counting-sort transpose of the
-// other direction walked in new id order (graph/relabel.hpp), and the COO
-// is copied out of the new out-CSR. Its arrays equal those of
-// Graph::from_edges(permute(g.coo(), perm)) at any thread count.
+// other direction walked in new id order (graph/relabel.hpp). Its arrays
+// equal those of Graph::from_edges(permute(g.coo().to_edge_list(), perm))
+// at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@ Permutation identity_permutation(VertexId n);
 /// vebo::Error unless `perm` is a bijection on 0..n-1.
 EdgeList permute(const EdgeList& el, std::span<const VertexId> perm);
 
-/// Relabels the graph (CSR + CSC + COO) in O(n + m) without sorting.
+/// Relabels the graph (CSR + CSC) in O(n + m) without sorting.
 /// Throws vebo::Error unless `perm` is a bijection on 0..n-1.
 Graph permute(const Graph& g, std::span<const VertexId> perm);
 

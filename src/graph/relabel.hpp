@@ -1,5 +1,6 @@
-// The one relabelled-graph build: a comparison-free, parallel counting-sort
-// transpose, shared by permute(Graph) and DeltaGraph::snapshot(perm).
+// The one graph build: a comparison-free, parallel counting-sort transpose,
+// shared by permute(Graph), DeltaGraph::snapshot(perm) and, under the
+// identity, the cold loads (Graph::from_edges, io's CSR readers).
 //
 // The new out-CSR is the transpose of the old in-rows walked in ascending
 // *new* destination id: destination d' = perm[d] scatters itself into row
@@ -22,13 +23,20 @@ namespace vebo {
 
 namespace detail {
 
+/// The identity as a permutation of n ids: a transpose without relabelling.
+struct IdentityMap {
+  std::size_t n;
+  std::size_t size() const { return n; }
+  VertexId operator[](std::size_t v) const { return static_cast<VertexId>(v); }
+};
+
 /// Row t of the result holds, ascending, every new id i whose old source
 /// row (old id inv[i]) contains a vertex w with perm[w] == t.
 /// `degree(v)` is the length of old row v; `for_each(v, fn)` calls fn(w)
-/// for each entry w of old row v.
-template <typename Degree, typename ForEach>
-Csr transpose_relabelled(std::span<const VertexId> perm,
-                         std::span<const VertexId> inv, Degree&& degree,
+/// for each entry w of old row v. `perm` and `inv` are spans or
+/// IdentityMaps.
+template <typename Map, typename Degree, typename ForEach>
+Csr transpose_relabelled(const Map& perm, const Map& inv, Degree&& degree,
                          ForEach&& for_each) {
   const std::size_t n = perm.size();
   // Source row lengths in walk (new id) order: balances blocks by edges.
@@ -56,6 +64,17 @@ Csr transpose_relabelled(std::span<const VertexId> perm,
 }
 
 }  // namespace detail
+
+/// The transpose of `rows` (row t lists, ascending, every row holding t);
+/// entries within a row of the input may come in any order.
+inline Csr transpose(const Csr& rows) {
+  const detail::IdentityMap id{rows.num_vertices()};
+  return detail::transpose_relabelled(
+      id, id, [&](VertexId v) { return rows.degree(v); },
+      [&](VertexId v, auto&& fn) {
+        for (VertexId w : rows.neighbors(v)) fn(w);
+      });
+}
 
 /// Builds the graph relabelled by `perm` (new = perm[old]; `inv` is its
 /// inverse) from its rows under old ids: out_degree/in_degree(v) and

@@ -292,7 +292,7 @@ Graph DeltaGraph::snapshot(std::span<const VertexId> perm) const {
 }
 
 void DeltaGraph::compact() {
-  // Merge each direction straight into the new base — no COO build and
+  // Merge each direction straight into the new base — no Graph build and
   // no copy of the freshly merged arrays.
   base_out_ = merged_csr(base_out_, out_blocks_, out_deg_);
   base_in_ = merged_csr(base_in_, in_blocks_, in_deg_);

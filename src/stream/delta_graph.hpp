@@ -10,7 +10,7 @@
 // `apply_batch` ingests a span of EdgeUpdates in O(B log B) for the batch
 // dedup sort plus O(touched-vertex delta blocks) for the parallel
 // per-vertex merges — it never rebuilds the base. `snapshot()` compacts
-// base+deltas into an immutable `Graph` (CSR + CSC + COO via
+// base+deltas into an immutable `Graph` (CSR + CSC via
 // Graph::from_parts) in O(n + m) with per-vertex parallel merges, so every
 // engine and algorithm runs unchanged on any version of the graph.
 // `snapshot(perm)` builds the relabelled graph in one pass over the same
@@ -59,7 +59,7 @@ class DeltaGraph {
   /// including the per-vertex in-degree deltas the rebalancer consumes.
   ApplyResult apply_batch(std::span<const EdgeUpdate> batch);
 
-  /// Compacts base + deltas into an immutable Graph (CSR, CSC, COO).
+  /// Compacts base + deltas into an immutable Graph (CSR, CSC).
   Graph snapshot() const;
 
   /// The live graph relabelled by `perm` (new = perm[old]), built straight

@@ -1,5 +1,6 @@
-// Tests for the graph core: edge lists, CSR/CSC construction, Graph,
-// degree statistics, permutation machinery, and I/O round trips.
+// Tests for the graph core: edge lists, CSR/CSC construction, Graph and
+// its edge view, degree statistics, permutation machinery, and I/O round
+// trips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <sstream>
 
@@ -79,9 +81,12 @@ TEST(EdgeList, SortOrders) {
 }
 
 // ------------------------------------------------------------------ Csr
+// A graph's CSR is its out_csr() and its CSC its in_csr(); both come from
+// Graph::from_edges.
 
 TEST(Csr, BuildBySource) {
-  const Csr csr = Csr::build(small_list(), /*by_destination=*/false);
+  const Graph g = Graph::from_edges(small_list());
+  const Csr& csr = g.out_csr();
   EXPECT_EQ(csr.num_vertices(), 4u);
   EXPECT_EQ(csr.num_edges(), 4u);
   EXPECT_EQ(csr.degree(0), 2u);
@@ -95,12 +100,14 @@ TEST(Csr, BuildBySource) {
 }
 
 TEST(Csr, BuildByDestinationIsCsc) {
-  const Csr csc = Csr::build(small_list(), /*by_destination=*/true);
+  const Graph g = Graph::from_edges(small_list());
+  const Csr& csc = g.in_csr();
   EXPECT_EQ(csc.degree(0), 1u);  // in-edges of 0: from 3
   EXPECT_EQ(csc.degree(2), 2u);
   auto in2 = csc.neighbors(2);
   EXPECT_EQ(std::vector<VertexId>(in2.begin(), in2.end()),
             (std::vector<VertexId>{0, 1}));
+  EXPECT_TRUE(csc.valid());
 }
 
 TEST(Csr, RawConstructorValidates) {
@@ -110,10 +117,12 @@ TEST(Csr, RawConstructorValidates) {
 }
 
 TEST(Csr, EmptyGraph) {
-  const Csr csr = Csr::build(EdgeList(3, {}, true), false);
-  EXPECT_EQ(csr.num_vertices(), 3u);
-  EXPECT_EQ(csr.num_edges(), 0u);
-  EXPECT_TRUE(csr.valid());
+  const Graph g = Graph::from_edges(EdgeList(3, {}, true));
+  for (const Csr* csr : {&g.out_csr(), &g.in_csr()}) {
+    EXPECT_EQ(csr->num_vertices(), 3u);
+    EXPECT_EQ(csr->num_edges(), 0u);
+    EXPECT_TRUE(csr->valid());
+  }
 }
 
 // ---------------------------------------------------------------- Graph
@@ -256,13 +265,37 @@ TEST(Permute, RejectsNonBijection) {
       Graph::from_edges(EdgeList(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}}, true));
   EXPECT_THROW(permute(g, Permutation{0, 0, 1, 2}), Error);
   EXPECT_THROW(permute(g, Permutation{0, 1, 2, 4}), Error);
-  EXPECT_THROW(permute(g.coo(), Permutation{0, 0, 1, 2}), Error);
+  EXPECT_THROW(permute(g.coo().to_edge_list(), Permutation{0, 0, 1, 2}),
+               Error);
 }
 
-// The relabel permute() used to do: sort the relabelled COO. Kept here
-// only as the reference the transpose-built permute must match.
+// The build Graph::from_edges used to do: sort the edges by (src, dst)
+// for the CSR and by (dst, src) for the CSC. Kept here only as the
+// reference the counting-scatter build must match.
+Csr sorted_rows(VertexId n, std::vector<Edge> es, bool by_destination) {
+  if (by_destination)
+    for (Edge& e : es) std::swap(e.src, e.dst);
+  std::sort(es.begin(), es.end());
+  std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> values;
+  for (const Edge& e : es) {
+    ++offsets[e.src + 1];
+    values.push_back(e.dst);
+  }
+  for (VertexId v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+  return Csr(std::move(offsets), std::move(values));
+}
+
+Graph sorted_build(const EdgeList& el) {
+  const std::vector<Edge> es(el.edges().begin(), el.edges().end());
+  return Graph::from_parts(sorted_rows(el.num_vertices(), es, false),
+                           sorted_rows(el.num_vertices(), es, true),
+                           el.directed());
+}
+
+// The relabel permute() used to do: sort the relabelled edges.
 Graph sorted_permute(const Graph& g, std::span<const VertexId> perm) {
-  return Graph::from_edges(permute(g.coo(), perm));
+  return sorted_build(permute(g.coo().to_edge_list(), perm));
 }
 
 Permutation shuffled(VertexId n, std::uint64_t seed) {
@@ -272,26 +305,189 @@ Permutation shuffled(VertexId n, std::uint64_t seed) {
   return p;
 }
 
+/// The edges of g walked row by row through out_neighbors().
+std::vector<Edge> row_walk(const Graph& g) {
+  std::vector<Edge> es;
+  for (VertexId u = 0; u < g.num_vertices(); ++u)
+    for (VertexId w : g.out_neighbors(u)) es.push_back({u, w});
+  return es;
+}
+
 void expect_same_arrays(const Graph& want, const Graph& got) {
   EXPECT_EQ(want.num_vertices(), got.num_vertices());
   EXPECT_EQ(want.num_edges(), got.num_edges());
   EXPECT_EQ(want.directed(), got.directed());
   EXPECT_EQ(want.out_csr(), got.out_csr());
   EXPECT_EQ(want.in_csr(), got.in_csr());
+  EXPECT_TRUE(got.out_csr().valid());
+  EXPECT_TRUE(got.in_csr().valid());
   EXPECT_EQ(want.coo().num_vertices(), got.coo().num_vertices());
   EXPECT_EQ(want.coo().directed(), got.coo().directed());
   EXPECT_TRUE(std::ranges::equal(want.coo().edges(), got.coo().edges()));
 }
 
-TEST(Permute, MatchesSortedRelabelOnGeneratedGraphs) {
-  const std::vector<std::pair<std::string, Graph>> graphs = {
+/// from_edges over `el` as given, reversed and shuffled must equal the
+/// sorted build array for array.
+void expect_builds_like_sorted(const EdgeList& el) {
+  const Graph want = sorted_build(el);
+  std::vector<Edge> es(el.edges().begin(), el.edges().end());
+  expect_same_arrays(want, Graph::from_edges(el));
+  std::reverse(es.begin(), es.end());
+  expect_same_arrays(want,
+                     Graph::from_edges(EdgeList(el.num_vertices(), es,
+                                                el.directed())));
+  std::mt19937_64 rng(es.size());
+  std::shuffle(es.begin(), es.end(), rng);
+  expect_same_arrays(want,
+                     Graph::from_edges(EdgeList(el.num_vertices(), es,
+                                                el.directed())));
+}
+
+const std::vector<std::pair<std::string, Graph>>& generated_graphs() {
+  static const std::vector<std::pair<std::string, Graph>> graphs = {
       {"rmat", gen::rmat(12, 8, 3)},
       {"powerlaw", gen::zipf_directed(4000, 5)},
       {"chung_lu", gen::chung_lu(3000, 2.0, 8.0, 7)},
       {"road", gen::road_grid(40, 60, 9)},
       {"erdos", gen::erdos_renyi(2000, 16000, 11)},
   };
-  for (const auto& [name, g] : graphs) {
+  return graphs;
+}
+
+std::vector<std::pair<std::string, EdgeList>> edge_case_lists() {
+  return {
+      {"empty", EdgeList(0, {}, true)},
+      {"single vertex", EdgeList(1, {}, true)},
+      {"single self-loop", EdgeList(1, {{0, 0}}, true)},
+      {"isolated vertices", EdgeList(12, {{3, 7}, {7, 3}, {9, 3}}, true)},
+      {"self-loops and multi-edges",
+       EdgeList(6, {{0, 0}, {1, 2}, {1, 2}, {2, 1}, {5, 5}, {5, 0}, {0, 5}},
+                true)},
+  };
+}
+
+EdgeList small_undirected() {
+  EdgeList und(50, {{0, 1}, {1, 2}, {2, 0}, {10, 40}, {40, 41}}, true);
+  und.symmetrize();
+  return und;
+}
+
+TEST(FromEdges, MatchesSortedBuildOnGeneratedGraphs) {
+  for (const auto& [name, g] : generated_graphs()) {
+    SCOPED_TRACE(name);
+    const EdgeList el = g.coo().to_edge_list();
+    expect_same_arrays(sorted_build(el), g);  // the generator's own build
+    expect_builds_like_sorted(el);
+  }
+}
+
+TEST(FromEdges, MatchesSortedBuildOnEdgeCases) {
+  for (const auto& [name, el] : edge_case_lists()) {
+    SCOPED_TRACE(name);
+    expect_builds_like_sorted(el);
+  }
+  const EdgeList und = small_undirected();
+  ASSERT_FALSE(und.directed());
+  expect_builds_like_sorted(und);
+}
+
+TEST(FromEdges, KeepsMultiEdgesAndSelfLoops) {
+  const Graph g = Graph::from_edges(
+      EdgeList(3, {{2, 2}, {0, 1}, {2, 0}, {0, 1}, {2, 2}, {0, 1}}, true));
+  EXPECT_EQ(g.num_edges(), 6u);
+  EXPECT_EQ(row_walk(g), (std::vector<Edge>{
+                             {0, 1}, {0, 1}, {0, 1}, {2, 0}, {2, 2}, {2, 2}}));
+  auto in1 = g.in_neighbors(1);
+  EXPECT_EQ(std::vector<VertexId>(in1.begin(), in1.end()),
+            (std::vector<VertexId>{0, 0, 0}));
+  auto in2 = g.in_neighbors(2);
+  EXPECT_EQ(std::vector<VertexId>(in2.begin(), in2.end()),
+            (std::vector<VertexId>{2, 2}));
+}
+
+// ------------------------------------------------------------ edge view
+
+static_assert(std::random_access_iterator<EdgeRange::iterator>);
+static_assert(std::ranges::random_access_range<EdgeRange>);
+static_assert(std::ranges::sized_range<EdgeRange>);
+
+/// Every way of reading the view agrees with the row walk.
+void expect_view_matches_rows(const Graph& g) {
+  const std::vector<Edge> want = row_walk(g);
+  const EdgeRange r = g.coo().edges();
+  ASSERT_EQ(r.size(), want.size());
+  EXPECT_EQ(r.empty(), want.empty());
+  EXPECT_EQ(static_cast<std::size_t>(r.end() - r.begin()), want.size());
+  std::vector<Edge> walked;
+  for (const Edge& e : r) walked.push_back(e);
+  EXPECT_EQ(walked, want);
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const auto d = static_cast<std::ptrdiff_t>(k);
+    EXPECT_EQ(r[k], want[k]) << k;
+    EXPECT_EQ(*(r.begin() + d), want[k]) << k;
+    EXPECT_EQ(r.begin()[d], want[k]) << k;
+    EXPECT_EQ(*(r.end() - static_cast<std::ptrdiff_t>(want.size() - k)),
+              want[k])
+        << k;
+    EXPECT_EQ((r.begin() + d) - r.begin(), d);
+  }
+  std::vector<Edge> backwards;
+  for (auto it = r.end(); it != r.begin();) backwards.push_back(*--it);
+  std::reverse(backwards.begin(), backwards.end());
+  EXPECT_EQ(backwards, want);
+  const std::vector<Edge> copied(r.begin(), r.end());
+  EXPECT_EQ(copied, want);
+  const EdgeList el = g.coo().to_edge_list();
+  EXPECT_EQ(el.num_vertices(), g.num_vertices());
+  EXPECT_EQ(el.directed(), g.directed());
+  EXPECT_TRUE(std::ranges::equal(el.edges(), want));
+}
+
+TEST(EdgeView, EmptyRowsAtStartMiddleAndEnd) {
+  // Rows 0-1, 3, 5 and 7-8 are empty; rows 2, 4 and 6 hold the edges.
+  const Graph g = Graph::from_edges(EdgeList(
+      9, {{6, 0}, {2, 8}, {4, 4}, {2, 1}, {6, 6}, {4, 2}, {2, 1}}, true));
+  const std::vector<Edge> want = {{2, 1}, {2, 1}, {2, 8}, {4, 2},
+                                  {4, 4}, {6, 0}, {6, 6}};
+  EXPECT_EQ(row_walk(g), want);
+  expect_view_matches_rows(g);
+  auto it = g.coo().edges().begin();
+  it += 3;
+  EXPECT_EQ(*it, (Edge{4, 2}));
+  it -= 2;
+  EXPECT_EQ(*it, (Edge{2, 1}));
+  EXPECT_EQ(*it++, (Edge{2, 1}));
+  EXPECT_EQ(*it--, (Edge{2, 8}));
+  EXPECT_EQ(*it, (Edge{2, 1}));
+  EXPECT_LT(it, it + 1);
+}
+
+TEST(EdgeView, EmptyGraphs) {
+  for (VertexId n : {0u, 1u, 5u}) {
+    SCOPED_TRACE(n);
+    const Graph g = Graph::from_edges(EdgeList(n, {}, true));
+    EXPECT_EQ(g.coo().num_vertices(), n);
+    EXPECT_EQ(g.coo().num_edges(), 0u);
+    EXPECT_TRUE(g.coo().edges().empty());
+    EXPECT_EQ(g.coo().edges().begin(), g.coo().edges().end());
+    expect_view_matches_rows(g);
+  }
+  const Graph none;
+  EXPECT_TRUE(none.coo().edges().empty());
+  EXPECT_EQ(none.coo().edges().begin(), none.coo().edges().end());
+  EXPECT_EQ(none.coo().to_edge_list().num_edges(), 0u);
+}
+
+TEST(EdgeView, MatchesRowsOnGeneratedGraphs) {
+  for (const auto& [name, g] : generated_graphs()) {
+    SCOPED_TRACE(name);
+    expect_view_matches_rows(g);
+  }
+  expect_view_matches_rows(Graph::from_edges(small_undirected()));
+}
+
+TEST(Permute, MatchesSortedRelabelOnGeneratedGraphs) {
+  for (const auto& [name, g] : generated_graphs()) {
     SCOPED_TRACE(name);
     for (std::uint64_t seed : {1u, 2u}) {
       const Permutation p = shuffled(g.num_vertices(), seed);
@@ -303,24 +499,13 @@ TEST(Permute, MatchesSortedRelabelOnGeneratedGraphs) {
 }
 
 TEST(Permute, MatchesSortedRelabelOnEdgeCases) {
-  const std::vector<std::pair<std::string, EdgeList>> lists = {
-      {"empty", EdgeList(0, {}, true)},
-      {"single vertex", EdgeList(1, {}, true)},
-      {"single self-loop", EdgeList(1, {{0, 0}}, true)},
-      {"isolated vertices", EdgeList(12, {{3, 7}, {7, 3}, {9, 3}}, true)},
-      {"self-loops and multi-edges",
-       EdgeList(6, {{0, 0}, {1, 2}, {1, 2}, {2, 1}, {5, 5}, {5, 0}, {0, 5}},
-                true)},
-  };
-  for (const auto& [name, el] : lists) {
+  for (const auto& [name, el] : edge_case_lists()) {
     SCOPED_TRACE(name);
     const Graph g = Graph::from_edges(el);
     const Permutation p = shuffled(g.num_vertices(), 4);
     expect_same_arrays(sorted_permute(g, p), permute(g, p));
   }
-  EdgeList und(50, {{0, 1}, {1, 2}, {2, 0}, {10, 40}, {40, 41}}, true);
-  und.symmetrize();
-  const Graph g = Graph::from_edges(und);
+  const Graph g = Graph::from_edges(small_undirected());
   ASSERT_FALSE(g.directed());
   const Permutation p = shuffled(g.num_vertices(), 8);
   expect_same_arrays(sorted_permute(g, p), permute(g, p));
@@ -335,6 +520,15 @@ TEST(Io, AdjacencyRoundTrip) {
   const Graph h = io::read_adjacency(ss);
   EXPECT_EQ(g.out_csr(), h.out_csr());
   EXPECT_EQ(g.in_csr(), h.in_csr());
+}
+
+TEST(Io, AdjacencyRowsInAnyOrderBuildSortedGraph) {
+  // Rows 0 -> {2, 1, 1} and 2 -> {0, 2} are stored unsorted.
+  std::stringstream ss("AdjacencyGraph\n3\n5\n0\n3\n3\n2\n1\n1\n2\n0\n");
+  const Graph h = io::read_adjacency(ss);
+  expect_same_arrays(
+      sorted_build(EdgeList(3, {{0, 2}, {0, 1}, {0, 1}, {2, 2}, {2, 0}}, true)),
+      h);
 }
 
 TEST(Io, AdjacencyRejectsBadHeader) {

@@ -30,6 +30,7 @@
 #include "stream/session.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
+#include "support/timer.hpp"
 
 namespace vebo {
 namespace {
@@ -878,13 +879,21 @@ TEST(LedgerInvariant, HoldsUnderConcurrentObservation) {
     }
   });
 
+  // Each client submits kPerClient queries, then keeps submitting until
+  // the observer has made more than kMinChecks checks, so the invariant is
+  // observed during the storm even when the observer is scheduled late.
+  // Past the deadline the clients stop and the check below fails loudly.
   constexpr int kClients = 4;
   constexpr int kPerClient = 60;
+  constexpr std::uint64_t kMinChecks = 100;
+  constexpr double kObserverDeadlineS = 30.0;
+  const Timer storm;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c)
-    clients.emplace_back([&service, c] {
+    clients.emplace_back([&, c] {
       std::vector<std::future<QueryResult>> pending;
-      for (int i = 0; i < kPerClient; ++i) {
+      for (int i = 0; i < kPerClient || checks.load() <= kMinChecks; ++i) {
+        if (i >= kPerClient && storm.elapsed() > kObserverDeadlineS) break;
         Query q;
         // Mix successes with BadRequest failures so `failed` moves too.
         q.algo = (i % 7 == 0) ? "NOPE" : (c % 2 == 0 ? "BFS" : "CC");
@@ -903,7 +912,8 @@ TEST(LedgerInvariant, HoldsUnderConcurrentObservation) {
   done = true;
   observer.join();
 
-  EXPECT_GT(checks.load(), 100u);  // the observer actually observed
+  EXPECT_GT(checks.load(), kMinChecks)  // the observer actually observed
+      << "within " << kObserverDeadlineS << " s of storm";
   EXPECT_EQ(violations.load(), 0u);
 
   // Settled state: everything accepted has been decided.

@@ -237,7 +237,7 @@ TEST(Hilbert, OrderForCoversN) {
 
 TEST(Hilbert, SortKeepsMultisetOfEdges) {
   const Graph g = gen::rmat(8, 4, 3);
-  EdgeList el = g.coo();
+  EdgeList el = g.coo().to_edge_list();
   auto before = std::vector<Edge>(el.edges().begin(), el.edges().end());
   order::sort_edges_hilbert(el);
   auto after = std::vector<Edge>(el.edges().begin(), el.edges().end());
