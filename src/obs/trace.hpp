@@ -97,7 +97,7 @@ const char* to_string(KernelVariant v);
 ///  * Iteration: a = iteration index, b = frontier size (when the
 ///    algorithm tracks one).
 ///  * QueueWait: (none). EngineLease/Execute: a = snapshot version.
-///  * CacheProbe: a = 1 on hit. Translate: a = payload vertex count.
+///  * CacheProbe: a = 1 on hit. Translate: a = payload entry count.
 ///  * ApplyBatch: a = inserted, b = removed, c = vertices grown.
 ///  * VeboRefine: a = RebalanceAction, b = dirty vertex count.
 ///  * Publish/Snapshot: a = version (0 when unversioned).

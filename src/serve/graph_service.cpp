@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "algorithms/registry.hpp"
 #include "support/error.hpp"
@@ -12,6 +11,19 @@ namespace vebo::serve {
 
 namespace {
 
+/// Per-worker trace ring, in spans, shared by tail sampling and
+/// Query::trace. The heaviest traced keys the serving benchmark issues
+/// (PR at 120 iterations, BC) record a few hundred.
+constexpr std::size_t kTraceRingCapacity = 4096;
+/// Keeper traces trace_store() retains.
+constexpr std::size_t kTraceStoreCapacity = 32;
+/// The slow-keep threshold is the windowed p99 times this.
+constexpr double kKeepLatencyFactor = 3.0;
+/// Flight-recorder anomaly triggers: a query in flight this long, and a
+/// publish this slow.
+constexpr double kAnomalyInFlightAgeMs = 1000;
+constexpr double kAnomalyPublishStallMs = 250;
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -19,6 +31,66 @@ std::int64_t steady_now_us() {
 }
 
 std::size_t code_index(ErrorCode c) { return static_cast<std::size_t>(c); }
+
+/// The query's params validated against its schema, with the legacy
+/// `source` field folded in. They stay in ORIGINAL ids: the client-
+/// visible identity of the query, and what the cache keys on. Throws
+/// vebo::Error on unknown or ill-typed params.
+algo::QueryParams validated(const algo::AlgorithmSpec& spec, const Query& q) {
+  algo::QueryParams raw = q.params;
+  if (spec.params.find("source") != nullptr && !raw.has("source"))
+    raw.set("source", q.source);
+  return spec.params.validate(raw);
+}
+
+/// The exception in flight as a ServiceError (its code in `code`): a
+/// cooperative stop and anything else that escaped the run are retyped
+/// so clients branch on code(); RAII already released lease and pin.
+std::exception_ptr typed_error(ErrorCode& code) {
+  const auto retyped = [&code](ErrorCode c, const char* what) {
+    code = c;
+    return std::make_exception_ptr(ServiceError(c, what));
+  };
+  try {
+    throw;
+  } catch (const ServiceError& e) {
+    code = e.code();
+    return std::current_exception();
+  } catch (const CancelledError& e) {
+    return retyped(ErrorCode::Cancelled, e.what());
+  } catch (const DeadlineExceededError& e) {
+    return retyped(ErrorCode::DeadlineExceeded, e.what());
+  } catch (const std::exception& e) {
+    return retyped(ErrorCode::Internal, e.what());
+  } catch (...) {
+    return retyped(ErrorCode::Internal, "unknown exception");
+  }
+}
+
+/// Records a hand-stamped serve stage (to the thread's trace and the
+/// flight recorder); an end before the start records zero.
+void record_span(obs::SpanKind kind, std::uint64_t start_ns,
+                 std::uint64_t end_ns, std::uint64_t a = 0) {
+  obs::Span s;
+  s.kind = kind;
+  s.start_ns = start_ns;
+  s.dur_ns = end_ns > start_ns ? end_ns - start_ns : 0;
+  s.a = a;
+  obs::record_stage(s);
+}
+
+/// An original source id translated to its position in a snapshot of
+/// `n` vertices. Throws vebo::Error when it is out of range.
+VertexId snapshot_source(VertexId source, const Permutation* perm,
+                         VertexId n) {
+  if (perm != nullptr) {
+    VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
+               "GraphService: source out of range");
+    source = (*perm)[source];
+  }
+  VEBO_CHECK(source < n, "GraphService: source out of range");
+  return source;
+}
 
 }  // namespace
 
@@ -41,9 +113,9 @@ GraphService::GraphService(SnapshotStore& store, GraphServiceOptions opts)
         eopts.max_engines = std::max(eopts.max_engines, opts.workers);
         return eopts;
       }()),
-      cache_(opts.cache_capacity),
+      cache_(opts.cache_capacity, opts.serve_stale),
       slo_(opts.telemetry.slo),
-      trace_store_(opts.telemetry.trace_store_capacity) {
+      trace_store_(kTraceStoreCapacity) {
   if (opts_.telemetry.window) {
     // The per-code dimension always matches this service's error codes;
     // callers tune bucket count/width only.
@@ -86,21 +158,21 @@ Submission GraphService::submit(Query q) {
                           std::chrono::microseconds(static_cast<std::int64_t>(
                               q.deadline_ms * 1000.0)));
   if (q.cancel.can_be_cancelled()) item.ctx.set_cancel_token(q.cancel);
-  // The enqueue stamp reuses the admission Timer's start (same steady
-  // epoch) — no clock read, so it is unconditional. Whether anything
-  // consumes it (queue-wait span, trace base) is decided at pickup.
-  item.enqueued_ns = item.submitted.start_ns();
   item.q = std::move(q);
   sub.result = item.promise.get_future();
   // Ledger discipline (see GraphServiceStats): a query enters the books
-  // in the SAME critical section that decides its admission, as either
-  // {submitted, in_flight} or {submitted, rejected}. The accepted-path
-  // count nests stats_mutex_ inside queue_mutex_ so a worker cannot
+  // as {submitted, in_flight} in the SAME critical section that decides
+  // its admission, nested inside queue_mutex_ so a worker cannot
   // complete the query (it cannot even pop it) before it is counted —
   // an observer can therefore never see completed+failed+rejected+
-  // in_flight drift from submitted.
+  // in_flight drift from submitted. A query turned away settles below.
   {
     MutexLock lk(queue_mutex_);
+    {
+      MutexLock slk(stats_mutex_);
+      ++stats_.submitted;
+      ++stats_.in_flight;
+    }
     if (stopping_) {
       sub.status = SubmitStatus::Stopped;
     } else if (queue_.size() >= opts_.queue_capacity) {
@@ -109,57 +181,27 @@ Submission GraphService::submit(Query q) {
       sub.status = SubmitStatus::QueueFull;
     } else {
       sub.status = SubmitStatus::Accepted;
-      {
-        MutexLock slk(stats_mutex_);
-        ++stats_.submitted;
-        ++stats_.in_flight;
-      }
       queue_.push_back(std::move(item));
     }
+  }
+  if (sub.status == SubmitStatus::Accepted) {
+    queue_cv_.notify_one();
+    return sub;
   }
   // Graceful degradation: a backpressure rejection may instead be
   // answered from the previous-epoch generation (stale-serve mode only;
   // the result carries stale=true). The submission then counts as
-  // accepted + completed, never as rejected. The query is entered as
-  // in-flight BEFORE the stale lookup and settled after, so the ledger
-  // invariant holds for observers during the lookup too.
-  if (sub.status == SubmitStatus::QueueFull && opts_.serve_stale) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.submitted;
-      ++stats_.in_flight;
-    }
-    if (try_serve_stale(item, /*ws=*/nullptr)) {
-      sub.status = SubmitStatus::Accepted;
-      return sub;
-    }
-    {
-      MutexLock lk(stats_mutex_);
-      --stats_.in_flight;
-      ++stats_.rejected;
-      ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
-    }
-    // Rejections count toward the windowed error rate (they ARE client-
-    // visible failures) but carry no latency sample.
-    observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
-    sub.result = {};  // rejected submissions carry no future
-    return sub;
-  }
-  if (sub.status == SubmitStatus::Accepted) {
-    queue_cv_.notify_one();
+  // accepted + completed, never as rejected.
+  Outcome out;
+  if (sub.status == SubmitStatus::QueueFull &&
+      find_stale_answer(item, out.result)) {
+    sub.status = SubmitStatus::Accepted;
   } else {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.submitted;
-      ++stats_.rejected;
-      // Rejections carry no future, so the code lands in the counter
-      // only (nothing to attach a ServiceError to).
-      ++stats_.errors_by_code[code_index(ErrorCode::Overloaded)];
-    }
-    observe_settled(item.q.algo, -1.0, code_index(ErrorCode::Overloaded));
+    out.kind = Outcome::Kind::Rejected;
+    out.code = ErrorCode::Overloaded;
     sub.result = {};  // rejected submissions carry no future
-    return sub;
   }
+  settle(item, std::move(out), nullptr);
   return sub;
 }
 
@@ -189,27 +231,23 @@ std::uint64_t GraphService::publish(
   // publishes too.
   Timer wall;
   std::uint64_t v = 0;
-  // Keep a handle on the new permutation past the moves below: the
-  // refresh path re-translates payloads through it.
-  const std::shared_ptr<const Permutation> perm_copy = perm;
   {
     obs::StageScope span(obs::SpanKind::Publish);
     const std::uint64_t prev_v = store_.version();
-    v = store_.publish(std::move(graph), std::move(partitioning),
-                       std::move(perm));
+    // `perm` is copied, not moved: the cache records it and the refresh
+    // path re-translates payloads through it.
+    v = store_.publish(std::move(graph), std::move(partitioning), perm);
     if (span.live()) span.span().a = v;
-    if (opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr)
-      refresh_cache(prev_v, v, *delta, perm_copy);
-    else
-      invalidate_cache(v);
+    if (opts_.refresh_on_publish && opts_.enable_cache && delta != nullptr) {
+      refresh_cache(prev_v, v, *delta, perm);
+    } else {
+      MutexLock lk(cache_mutex_);
+      cache_.advance_to(v, std::move(perm));
+    }
   }
-  // Pre-warm AFTER the epoch is visible (readers never wait on it): the
-  // lease forces the engine rebind and the lazy structure builds onto
-  // this thread, so the first query of the epoch skips them.
-  if (opts_.prewarm_on_publish) prewarm_engines();
   // Anomaly trigger: a stalled publish means readers are pinned to an
   // aging epoch — exactly the moment to freeze the black box.
-  if (wall.elapsed_ms() >= opts_.telemetry.anomaly_publish_stall_ms) {
+  if (wall.elapsed_ms() >= kAnomalyPublishStallMs) {
     obs::FlightRecorder& rec = obs::FlightRecorder::instance();
     if (rec.armed()) rec.trigger("publish-stall");
   }
@@ -255,12 +293,13 @@ void GraphService::worker_loop(std::size_t worker_idx) {
       item = std::move(queue_.front());
       queue_.pop_front();
     }
-    // Heartbeat: busy from pickup until settle_heartbeat() right before
-    // promise resolution, so health().oldest_running_ms sees queue-stall
+    // Heartbeat: busy from pickup until settle() right before promise
+    // resolution, so health().oldest_running_ms sees queue-stall
     // and run time alike, and a returned future::get() never observes
-    // its own query still in flight.
-    ws.pickup_us = steady_now_us();
-    ws.busy_since_us.store(ws.pickup_us, std::memory_order_release);
+    // its own query still in flight. process() reuses the stamp as the
+    // queue-wait end instead of paying a second clock read per query.
+    std::int64_t pickup_us = steady_now_us();
+    ws.busy_since_us.store(pickup_us, std::memory_order_release);
     // Chaos hook: a stalled worker between pickup and execution — the
     // window where deadlines lapse after the queue check would pass.
     // The in-flight heartbeat keeps the pre-stall stamp (health must
@@ -268,393 +307,259 @@ void GraphService::worker_loop(std::size_t worker_idx) {
     // stall so the kept trace attributes it to queue-side wait.
     if (FaultInjector::instance().delay_point(
             FaultInjector::Hook::WorkerStall))
-      ws.pickup_us = steady_now_us();
-    // Every process() path settles the heartbeat itself (see
-    // settle_heartbeat): it must happen BEFORE the promise resolves,
-    // which only process() can order.
-    process(item, ws);
+      pickup_us = steady_now_us();
+    process(item, ws, pickup_us);
   }
 }
 
-void GraphService::settle_heartbeat(WorkerState* ws) {
-  if (ws == nullptr) return;
-  ws->processed.fetch_add(1, std::memory_order_relaxed);
-  ws->busy_since_us.store(-1, std::memory_order_release);
-}
-
-void GraphService::process(Item& item, WorkerState& ws) {
-  // Arm the worker's trace BEFORE the shed checks: a shed query's
+void GraphService::process(Item& item, WorkerState& ws,
+                           std::int64_t pickup_us) {
+  // Arm the worker's trace ring BEFORE the shed checks: a shed query's
   // capture (queue-wait only) is still forensics — it shows the wait
-  // that killed it. Opt-in tracing (Query::trace) uses the full-size
-  // RAII trace and returns the spans on the result; tail sampling uses
-  // the thread's reusable ring and settles at completion (keep into
-  // trace_store_ or drop). Mutually exclusive by construction.
-  std::optional<obs::ThreadTrace> trace;
-  const bool sampling = !item.q.trace && opts_.telemetry.tail_sampling;
-  if (item.q.trace)
-    trace.emplace();
-  else if (sampling)
-    // Reuse the enqueue stamp as the trace base: saves a clock read per
-    // query and lines the queue-wait span up at t=0 in the export.
-    obs::Tracer::begin_reusing(opts_.telemetry.sample_ring_capacity,
-                               item.enqueued_ns);
+  // that killed it. One reusable ring serves tail sampling and
+  // Query::trace alike; settle() decides what is kept. The admission
+  // Timer's start (same steady epoch) is the trace base: no clock read,
+  // and the queue-wait span starts at t=0 in the export.
+  const std::uint64_t enqueued_ns = item.submitted.start_ns();
+  if (item.q.trace || opts_.telemetry.tail_sampling)
+    obs::Tracer::begin_reusing(kTraceRingCapacity, enqueued_ns);
   // The armed path pays NO extra clock read here: the worker loop
   // already stamped pickup for the in-flight heartbeat, so the
-  // queue-wait end (which doubles as the cache-probe start below; the
-  // probe's end on a hit is derived from the completion latency) is
-  // that same stamp, clamped against sub-microsecond truncation.
+  // queue-wait end (which doubles as the cache-probe start in execute())
+  // is that same stamp, clamped against sub-microsecond truncation.
   std::uint64_t pickup_ns = 0;
-  if (item.enqueued_ns != 0 && obs::stage_wanted()) {
+  if (obs::stage_wanted()) {
     // The wait already happened, so record it with explicit stamps (its
     // start predates the trace; the exporter clamps). record_stage
     // routes it to the thread's trace AND the flight recorder.
-    pickup_ns = std::max(
-        item.enqueued_ns, static_cast<std::uint64_t>(ws.pickup_us) * 1000);
-    obs::Span s;
-    s.kind = obs::SpanKind::QueueWait;
-    s.start_ns = item.enqueued_ns;
-    s.dur_ns = pickup_ns - item.enqueued_ns;
-    obs::record_stage(s);
+    pickup_ns = std::max(enqueued_ns,
+                         static_cast<std::uint64_t>(pickup_us) * 1000);
+    record_span(obs::SpanKind::QueueWait, enqueued_ns, pickup_ns);
   }
-  // Shed before execution: a queued query whose client already gave up
-  // (cancel fired / deadline lapsed) must fail fast — no snapshot pin,
-  // no engine lease, no run.
-  if (item.ctx.cancelled()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_cancelled;
-    }
-    fail(item, ErrorCode::Cancelled, "query cancelled while queued", sampling,
-         &ws);
-    return;
-  }
-  if (item.ctx.deadline_expired()) {
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.shed_deadline;
-    }
-    // Deadline pressure is exactly what stale-serve degrades under: a
-    // previous-epoch answer now beats a typed failure.
-    if (try_serve_stale(item, &ws)) {
-      // Served after all: settle the sample as a success (the stale
-      // answer was fast; the shed wait is what the window already saw).
-      if (sampling)
-        settle_sample(item, item.submitted.elapsed_ms(), /*ok=*/true,
-                      ErrorCode::DeadlineExceeded, 0);
-      return;
-    }
-    fail(item, ErrorCode::DeadlineExceeded,
-         "query deadline expired while queued (shed before execution)",
-         sampling, &ws);
-    return;
-  }
+  Outcome out;
   try {
-    QueryResult r;
-    const SnapshotRef snap = store_.acquire();
-    if (!snap)
-      throw ServiceError(ErrorCode::NoSnapshot,
-                         "GraphService: no snapshot published yet");
-    const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
-    if (spec == nullptr)
-      throw ServiceError(ErrorCode::BadRequest,
-                         "GraphService: unknown algorithm code: " +
-                             item.q.algo);
-
-    // Validate against the schema (throws on unknown/ill-typed params,
-    // fills defaults) with the legacy `source` field folded in. The
-    // normalized set stays in ORIGINAL ids — it is the client-visible
-    // identity of the query, and what the cache keys on. Validation
-    // failures are the client's fault: BadRequest, never Internal.
-    algo::QueryParams norm;
-    const bool takes_source = spec->params.find("source") != nullptr;
-    const Permutation* perm = snap.perm();
-    VertexId source = 0;
-    try {
-      algo::QueryParams raw = item.q.params;
-      if (takes_source && !raw.has("source"))
-        raw.set("source", item.q.source);
-      norm = spec->params.validate(raw);
-      if (takes_source) {
-        source = norm.get_vertex("source");
-        if (perm != nullptr) {
-          VEBO_CHECK(source < static_cast<VertexId>(perm->size()),
-                     "GraphService: source out of range");
-          source = (*perm)[source];
-        }
-        VEBO_CHECK(source < snap.graph().num_vertices(),
-                   "GraphService: source out of range");
-      }
-    } catch (const Error& e) {
-      throw ServiceError(ErrorCode::BadRequest, e.what());
+    // Shed before execution: a queued query whose client already gave up
+    // (cancel fired / deadline lapsed) must fail fast — no snapshot pin,
+    // no engine lease, no run.
+    if (item.ctx.cancelled()) {
+      out.shed = true;
+      throw ServiceError(ErrorCode::Cancelled, "query cancelled while queued");
     }
-    r.version = snap.version();
-
-    const CacheKey key = CacheKey::make(spec->code, norm);
-    const bool want_payload = item.q.result == ResultKind::Payload;
-    bool hit = false;
-    // Probe span stamps by hand, not StageScope: the start reuses the
-    // pickup read, and a HIT's end is derived from the completion
-    // latency (recorded below, once latency is known) — zero extra
-    // clock reads on the cache-hit hot path. A miss pays one read here,
-    // noise next to the execution that follows.
-    std::uint64_t probe_start = 0;
-    if (opts_.enable_cache) {
-      if (pickup_ns != 0)
-        probe_start = pickup_ns;
-      else if (obs::stage_wanted())
-        probe_start = obs::Tracer::now_ns();
-      {
-        MutexLock lk(cache_mutex_);
-        if (cache_version_ == snap.version()) {
-          if (const ResultCache::Value* v = cache_.find(key)) {
-            r.value = v->checksum;
-            if (want_payload) r.payload = v->payload;
-            hit = true;
-          }
-        }
-      }
-      if (probe_start != 0 && !hit) {
-        obs::Span s;
-        s.kind = obs::SpanKind::CacheProbe;
-        s.start_ns = probe_start;
-        const std::uint64_t now = obs::Tracer::now_ns();
-        s.dur_ns = now > probe_start ? now - probe_start : 0;
-        s.a = 0;
-        obs::record_stage(s);
-      }
+    if (item.ctx.deadline_expired()) {
+      out.shed = true;
+      // Deadline pressure is exactly what stale-serve degrades under: a
+      // previous-epoch answer now beats a typed failure.
+      if (!find_stale_answer(item, out.result))
+        throw ServiceError(
+            ErrorCode::DeadlineExceeded,
+            "query deadline expired while queued (shed before execution)");
+    } else {
+      execute(item, pickup_ns, out.result);
     }
-    if (!hit) {
-      // Execution-space params: the source translated to its snapshot
-      // position. Payload vertex ids come back in snapshot space and are
-      // translated once, here in the worker — never under the cache lock.
-      algo::QueryParams exec = norm;
-      if (takes_source) exec.set("source", source);
-      // Lease span with explicit stamps (a scoped span would have to
-      // outlive this statement or force a move of the lease).
-      const std::uint64_t lease_start =
-          obs::stage_wanted() ? obs::Tracer::now_ns() : 0;
-      EnginePool::Lease lease = pool_.lease(snap);
-      if (lease_start != 0) {
-        obs::Span s;
-        s.kind = obs::SpanKind::EngineLease;
-        s.start_ns = lease_start;
-        s.dur_ns = obs::Tracer::now_ns() - lease_start;
-        s.a = snap.version();
-        obs::record_stage(s);
-      }
-      // Chaos hook: a query that fails after the lease was taken — the
-      // lease must come back via RAII (invariant: outstanding() drains
-      // to zero whatever happens below).
-      FaultInjector::instance().failure_point(
-          FaultInjector::Hook::QueryThrow, "query execution");
-      algo::QueryPayload payload;
-      {
-        obs::StageScope run(obs::SpanKind::Execute);
-        if (run.live()) run.span().a = snap.version();
-        // Bind the query's context for the duration of the run: the
-        // framework entry points and the algorithms' hand-rolled loops
-        // poll it between supersteps, so cancellation / deadline expiry
-        // stops the traversal within one superstep. RAII unbind keeps a
-        // cancelled run from leaking its context into the engine's next
-        // lease.
-        Engine::ContextBinding bind(lease.engine(), item.ctx);
-        payload = spec->run(lease.engine(), exec, item.ctx);
-      }
-      lease.release();
-      std::shared_ptr<const algo::QueryPayload> shared;
-      {
-        obs::StageScope tr(obs::SpanKind::Translate);
-        if (tr.live()) {
-          std::uint64_t nvert = 0;
-          switch (payload.kind()) {
-            case algo::PayloadKind::VertexDoubles:
-              nvert = payload.doubles().size();
-              break;
-            case algo::PayloadKind::VertexIds:
-              nvert = payload.ids().size();
-              break;
-            default: break;
-          }
-          tr.span().a = nvert;
-        }
-        // The fold runs in snapshot order — the order the legacy surface
-        // sums in — so checksums stay byte-identical across orderings.
-        r.value = spec->checksum(payload);
-        // Translation is skipped entirely when nobody will see the
-        // payload (checksum-only query, cache off) — scalar answers stay
-        // cheap.
-        // Chaos hook: allocation failure at the one serve-path allocation
-        // that scales with the answer (per-vertex payload copy).
-        FaultInjector::instance().failure_point(
-            FaultInjector::Hook::AllocThrow, "payload allocation");
-        if (want_payload || opts_.enable_cache)
-          shared = std::make_shared<const algo::QueryPayload>(
-              perm != nullptr
-                  ? algo::translate_to_original_ids(payload, *perm)
-                  : std::move(payload));
-      }
-      if (want_payload) r.payload = shared;
-      if (opts_.enable_cache) {
-        std::uint64_t evicted_before = 0, evicted_after = 0;
-        {
-          MutexLock lk(cache_mutex_);
-          evicted_before = cache_.evictions();
-          if (cache_version_ != snap.version()) {
-            // First entry for a new epoch (or a publish raced us): start a
-            // fresh cache generation. An older-epoch result is simply not
-            // cached — snap.version() < cache_version_ must never
-            // resurrect entries for a superseded graph.
-            if (cache_version_ < snap.version()) {
-              if (opts_.serve_stale) {
-                // A publish bypassed this service's publish() (straight
-                // into the store): rotate here so the superseded
-                // generation stays servable, same as the publish path.
-                cache_.rotate();
-                stale_version_ = cache_version_;
-              } else {
-                cache_.clear();
-              }
-              cache_version_ = snap.version();
-              // The bypassing publish told us nothing about its
-              // permutation; a later refresh must assume it changed.
-              cache_perm_known_ = false;
-              cache_.insert(key, {r.value, shared, spec->code, norm});
-            }
-          } else {
-            cache_.insert(key, {r.value, shared, spec->code, norm});
-          }
-          evicted_after = cache_.evictions();
-        }
-        if (evicted_after != evicted_before) {
-          MutexLock slk(stats_mutex_);
-          stats_.evictions += evicted_after - evicted_before;
-        }
-      }
-    }
-    r.cache_hit = hit;
-    r.latency_ms = item.submitted.elapsed_ms();
-    // Completion stamp derived from the latency read above; the hit
-    // probe span and the window record reuse it rather than reading the
-    // clock twice more on the hot path.
-    const std::uint64_t settled_ns =
-        item.enqueued_ns +
-        static_cast<std::uint64_t>(r.latency_ms * 1e6);
-    if (hit && probe_start != 0) {
-      // The hit probe span closes at completion (lookup through the
-      // books); `a = 1` marks the hit.
-      obs::Span s;
-      s.kind = obs::SpanKind::CacheProbe;
-      s.start_ns = probe_start;
-      s.dur_ns = settled_ns > probe_start ? settled_ns - probe_start : 0;
-      s.a = 1;
-      obs::record_stage(s);
-    }
-    record(r.latency_ms, &ws);
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.completed;
-      --stats_.in_flight;
-      if (hit) ++stats_.cache_hits;
-    }
-    // Close the trace before resolving the promise so the client's
-    // future carries the complete span set. Tail samples settle here
-    // too: keep iff over the rolling threshold, drop otherwise.
-    if (trace) r.trace = std::make_shared<const obs::Trace>(trace->finish());
-    if (sampling)
-      settle_sample(item, r.latency_ms, /*ok=*/true, ErrorCode::Internal,
-                    r.version);
-    observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk,
-                    settled_ns);
-    settle_heartbeat(&ws);
-    item.promise.set_value(r);
-  } catch (const ServiceError& e) {
-    // Already typed: count the code and hand the original object on.
-    {
-      MutexLock lk(stats_mutex_);
-      ++stats_.failed;
-      --stats_.in_flight;
-      ++stats_.errors_by_code[code_index(e.code())];
-    }
-    const double lat_ms = item.submitted.elapsed_ms();
-    if (sampling) settle_sample(item, lat_ms, /*ok=*/false, e.code(), 0);
-    observe_settled(item.q.algo, lat_ms, code_index(e.code()));
-    settle_heartbeat(&ws);
-    item.promise.set_exception(std::current_exception());
-  } catch (const CancelledError& e) {
-    // Cooperative checkpoint fired mid-run (within one superstep of the
-    // cancel); retype so clients branch on code().
-    fail(item, ErrorCode::Cancelled, e.what(), sampling, &ws);
-  } catch (const DeadlineExceededError& e) {
-    fail(item, ErrorCode::DeadlineExceeded, e.what(), sampling, &ws);
-  } catch (const std::exception& e) {
-    // Algorithm throw, translation failure, allocation failure, injected
-    // fault — anything that escaped the run. The engine lease and the
-    // snapshot pin were released by RAII on the unwind.
-    fail(item, ErrorCode::Internal, e.what(), sampling, &ws);
   } catch (...) {
-    fail(item, ErrorCode::Internal, "unknown exception", sampling, &ws);
+    out.kind = Outcome::Kind::Failed;
+    out.error = typed_error(out.code);
   }
+  settle(item, std::move(out), &ws);
 }
 
-void GraphService::fail(Item& item, ErrorCode code, const std::string& what,
-                        bool sampled, WorkerState* ws) {
+void GraphService::execute(Item& item, std::uint64_t pickup_ns,
+                           QueryResult& r) {
+  const SnapshotRef snap = store_.acquire();
+  if (!snap)
+    throw ServiceError(ErrorCode::NoSnapshot,
+                       "GraphService: no snapshot published yet");
+  const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
+  if (spec == nullptr)
+    throw ServiceError(ErrorCode::BadRequest,
+                       "GraphService: unknown algorithm code: " +
+                           item.q.algo);
+
+  // Validation failures are the client's fault: BadRequest, never
+  // Internal. The source is translated to its snapshot position for the
+  // run; `norm` keeps the original id.
+  algo::QueryParams norm;
+  const bool takes_source = spec->params.find("source") != nullptr;
+  const Permutation* perm = snap.perm();
+  VertexId source = 0;
+  try {
+    norm = validated(*spec, item.q);
+    if (takes_source)
+      source = snapshot_source(norm.get_vertex("source"), perm,
+                               snap.graph().num_vertices());
+  } catch (const Error& e) {
+    throw ServiceError(ErrorCode::BadRequest, e.what());
+  }
+  r.version = snap.version();
+
+  const CacheKey key = CacheKey::make(spec->code, norm);
+  const bool want_payload = item.q.result == ResultKind::Payload;
+  // Probe span stamps by hand, not StageScope: the start reuses the
+  // pickup read, and a HIT's end is derived from the completion
+  // latency (recorded below, once latency is known) — zero extra
+  // clock reads on the cache-hit hot path. A miss pays one read here,
+  // noise next to the execution that follows.
+  std::uint64_t probe_start = 0;
+  if (opts_.enable_cache) {
+    if (pickup_ns != 0)
+      probe_start = pickup_ns;
+    else if (obs::stage_wanted())
+      probe_start = obs::Tracer::now_ns();
+    {
+      MutexLock lk(cache_mutex_);
+      if (const ResultCache::Value* v = cache_.find(r.version, key)) {
+        r.value = v->checksum;
+        if (want_payload) r.payload = v->payload;
+        r.cache_hit = true;
+      }
+    }
+    if (probe_start != 0 && !r.cache_hit)
+      record_span(obs::SpanKind::CacheProbe, probe_start,
+                  obs::Tracer::now_ns(), /*a=hit*/ 0);
+  }
+  if (!r.cache_hit) {
+    // Execution-space params: the source translated to its snapshot
+    // position. Payload vertex ids come back in snapshot space and are
+    // translated once, here in the worker — never under the cache lock.
+    algo::QueryParams exec = norm;
+    if (takes_source) exec.set("source", source);
+    // Lease span with explicit stamps (a scoped span would have to
+    // outlive this statement or force a move of the lease).
+    const std::uint64_t lease_start =
+        obs::stage_wanted() ? obs::Tracer::now_ns() : 0;
+    EnginePool::Lease lease = pool_.lease(snap);
+    if (lease_start != 0)
+      record_span(obs::SpanKind::EngineLease, lease_start,
+                  obs::Tracer::now_ns(), snap.version());
+    // Chaos hook: a query that fails after the lease was taken — the
+    // lease must come back via RAII (invariant: outstanding() drains
+    // to zero whatever happens below).
+    FaultInjector::instance().failure_point(
+        FaultInjector::Hook::QueryThrow, "query execution");
+    algo::QueryPayload payload;
+    {
+      obs::StageScope run(obs::SpanKind::Execute);
+      if (run.live()) run.span().a = snap.version();
+      // Bind the query's context for the duration of the run: the
+      // framework entry points and the algorithms' hand-rolled loops
+      // poll it between supersteps, so cancellation / deadline expiry
+      // stops the traversal within one superstep. RAII unbind keeps a
+      // cancelled run from leaking its context into the engine's next
+      // lease.
+      Engine::ContextBinding bind(lease.engine(), item.ctx);
+      payload = spec->run(lease.engine(), exec, item.ctx);
+    }
+    lease.release();
+    std::shared_ptr<const algo::QueryPayload> shared;
+    {
+      obs::StageScope tr(obs::SpanKind::Translate);
+      if (tr.live()) tr.span().a = payload.num_entries();
+      // The fold runs in snapshot order — the order the legacy surface
+      // sums in — so checksums stay byte-identical across orderings.
+      r.value = spec->checksum(payload);
+      // Translation is skipped entirely when nobody will see the
+      // payload (checksum-only query, cache off) — scalar answers stay
+      // cheap.
+      // Chaos hook: allocation failure at the one serve-path allocation
+      // that scales with the answer (per-vertex payload copy).
+      FaultInjector::instance().failure_point(
+          FaultInjector::Hook::AllocThrow, "payload allocation");
+      if (want_payload || opts_.enable_cache)
+        shared = std::make_shared<const algo::QueryPayload>(
+            perm != nullptr ? algo::translate_to_original_ids(payload, *perm)
+                            : std::move(payload));
+    }
+    if (want_payload) r.payload = shared;
+    if (opts_.enable_cache) {
+      MutexLock lk(cache_mutex_);
+      cache_.insert(r.version, key,
+                    {r.value, std::move(shared), spec->code, std::move(norm)});
+    }
+  }
+  r.latency_ms = item.submitted.elapsed_ms();
+  // The hit probe span closes at completion (lookup through the books),
+  // a stamp derived from the latency read above rather than one more
+  // clock read on the hot path.
+  if (r.cache_hit && probe_start != 0)
+    record_span(obs::SpanKind::CacheProbe, probe_start,
+                item.submitted.start_ns() +
+                    static_cast<std::uint64_t>(r.latency_ms * 1e6),
+                /*a=hit*/ 1);
+}
+
+void GraphService::settle(Item& item, Outcome out, WorkerState* ws) {
+  const bool ok = out.kind == Outcome::Kind::Completed;
+  const bool failed = out.kind == Outcome::Kind::Failed;
+  QueryResult& r = out.result;
+  // Rejections carry no latency sample (the window counts them as
+  // errors only).
+  const double latency_ms =
+      ok ? r.latency_ms : failed ? item.submitted.elapsed_ms() : -1.0;
   {
     MutexLock lk(stats_mutex_);
-    ++stats_.failed;
     --stats_.in_flight;
-    ++stats_.errors_by_code[code_index(code)];
-  }
-  const double lat_ms = item.submitted.elapsed_ms();
-  // Failures always keep their tail sample — a failed query IS the
-  // forensic case tail sampling exists for.
-  if (sampled) settle_sample(item, lat_ms, /*ok=*/false, code, 0);
-  observe_settled(item.q.algo, lat_ms, code_index(code));
-  settle_heartbeat(ws);
-  // set_exception, not throw: the worker thread must survive the failure
-  // and the client must see it — exactly once each.
-  item.promise.set_exception(
-      std::make_exception_ptr(ServiceError(code, what)));
-}
-
-void GraphService::settle_sample(Item& item, double latency_ms, bool ok,
-                                 ErrorCode code, std::uint64_t version) {
-  if (!obs::Tracer::thread_tracing()) return;  // never double-settle
-  bool keep = false;
-  std::string reason;
-  if (!ok) {
-    keep = true;
-    reason = code == ErrorCode::DeadlineExceeded
-                 ? "deadline"
-                 : std::string("error:") + to_string(code);
-  } else {
-    const std::uint64_t thr =
-        keep_threshold_us_.load(std::memory_order_relaxed);
-    if (thr != kNoThreshold &&
-        latency_ms * 1000.0 > static_cast<double>(thr)) {
-      keep = true;
-      reason = "slow";
+    if (out.shed)
+      ++(out.code == ErrorCode::Cancelled ? stats_.shed_cancelled
+                                          : stats_.shed_deadline);
+    if (ok) {
+      ++stats_.completed;
+      if (r.stale)
+        ++stats_.stale_served;
+      else if (r.cache_hit)
+        ++stats_.cache_hits;
+    } else {
+      ++(failed ? stats_.failed : stats_.rejected);
+      ++stats_.errors_by_code[code_index(out.code)];
     }
   }
-  // keep=false is the hot path: disarm, retain the ring, copy nothing.
-  obs::Trace t = obs::Tracer::end_reusing(keep);
-  if (!keep) return;
-  obs::CapturedTrace ct;
-  ct.trace = std::move(t);
-  ct.algo = item.q.algo;
-  ct.reason = std::move(reason);
-  ct.latency_ms = latency_ms;
-  ct.version = version;
-  trace_store_.push(std::move(ct));
-}
-
-void GraphService::observe_settled(const std::string& algo, double latency_ms,
-                                   std::size_t code, std::uint64_t now_ns) {
-  if (window_ == nullptr) return;
-  // Hot callers pass the stamp they already derived; rare paths
-  // (failures, rejections) let us read the clock here.
-  const std::uint64_t now = now_ns != 0 ? now_ns : obs::Tracer::now_ns();
-  window_->record(now, algo, latency_ms, code);
-  maybe_monitor(now);
+  if (ok) (ws != nullptr ? ws->latency : submit_latency_).record(latency_ms);
+  // Only process() arms a trace ring, on a worker (a submit thread may be
+  // a client tracing itself). Query::trace keeps its spans onto the
+  // result, unless it failed. Otherwise failures always keep and
+  // successes keep iff over the rolling threshold; keep=false is the hot
+  // path: disarm, retain the ring, copy nothing.
+  if (ws != nullptr && (item.q.trace || opts_.telemetry.tail_sampling)) {
+    const std::uint64_t thr =
+        keep_threshold_us_.load(std::memory_order_relaxed);
+    const bool slow = thr != kNoThreshold &&
+                      latency_ms * 1000.0 > static_cast<double>(thr);
+    const bool keep = item.q.trace ? ok : !ok || slow;
+    obs::Trace t = obs::Tracer::end_reusing(keep);
+    if (item.q.trace && ok) {
+      r.trace = std::make_shared<const obs::Trace>(std::move(t));
+    } else if (keep && !item.q.trace) {
+      trace_store_.push(
+          {.trace = std::move(t),
+           .algo = item.q.algo,
+           .reason = ok ? "slow"
+                     : out.code == ErrorCode::DeadlineExceeded
+                         ? "deadline"
+                         : "error:" + std::string(to_string(out.code)),
+           .latency_ms = latency_ms,
+           .version = ok ? r.version : 0});
+    }
+  }
+  if (window_ != nullptr) {
+    // The completion stamp derives from the latency already read; only a
+    // rejection (no latency) reads the clock.
+    const std::uint64_t now =
+        latency_ms < 0 ? obs::Tracer::now_ns()
+                       : item.submitted.start_ns() +
+                             static_cast<std::uint64_t>(latency_ms * 1e6);
+    window_->record(now, item.q.algo, latency_ms,
+                    ok ? obs::SlidingWindow::kOk : code_index(out.code));
+    maybe_monitor(now);
+  }
+  if (ws != nullptr) {
+    ws->processed.fetch_add(1, std::memory_order_relaxed);
+    ws->busy_since_us.store(-1, std::memory_order_release);
+  }
+  // set_exception, not throw: the worker thread must survive the failure
+  // and the client must see it — exactly once each.
+  if (ok)
+    item.promise.set_value(std::move(r));
+  else if (failed)
+    item.promise.set_exception(std::move(out.error));
 }
 
 void GraphService::maybe_monitor(std::uint64_t now_ns) {
@@ -680,7 +585,7 @@ void GraphService::maybe_monitor(std::uint64_t now_ns) {
   // absolute floor; "failures only" until the window has evidence.
   if (w.latency_samples >= opts_.telemetry.keep_min_samples) {
     const double thr_ms =
-        std::max(w.p99_ms * opts_.telemetry.keep_latency_factor,
+        std::max(w.p99_ms * kKeepLatencyFactor,
                  opts_.telemetry.keep_min_ms);
     keep_threshold_us_.store(static_cast<std::uint64_t>(thr_ms * 1000.0),
                              std::memory_order_relaxed);
@@ -693,156 +598,93 @@ void GraphService::maybe_monitor(std::uint64_t now_ns) {
   if (w.total >= opts_.telemetry.anomaly_min_samples &&
       w.error_rate >= opts_.telemetry.anomaly_error_rate)
     rec.trigger("error-rate-spike");
-  if (oldest_running_ms_now() >= opts_.telemetry.anomaly_in_flight_age_ms)
-    rec.trigger("in-flight-age");
+  double oldest_ms = 0;
+  for (const WorkerHealth& wh : worker_health())
+    oldest_ms = std::max(oldest_ms, wh.busy_ms);
+  if (oldest_ms >= kAnomalyInFlightAgeMs) rec.trigger("in-flight-age");
 }
 
-double GraphService::oldest_running_ms_now() const {
+std::vector<WorkerHealth> GraphService::worker_health() const {
   const std::int64_t now_us = steady_now_us();
-  double oldest = 0;
+  std::vector<WorkerHealth> out;
+  out.reserve(worker_state_.size());
   for (const auto& ws : worker_state_) {
+    WorkerHealth w;
+    w.processed = ws->processed.load(std::memory_order_relaxed);
     const std::int64_t since =
         ws->busy_since_us.load(std::memory_order_acquire);
-    if (since >= 0)
-      oldest = std::max(
-          oldest,
+    w.busy = since >= 0;
+    // Clamp: the worker may have stamped after our now_us read.
+    if (w.busy)
+      w.busy_ms =
           static_cast<double>(std::max<std::int64_t>(0, now_us - since)) /
-              1000.0);
+          1000.0;
+    out.push_back(w);
   }
-  return oldest;
+  return out;
 }
 
-bool GraphService::try_serve_stale(Item& item, WorkerState* ws) {
+bool GraphService::find_stale_answer(Item& item, QueryResult& r) {
   if (!opts_.serve_stale) return false;
   // The stale key is the same canonical identity a live lookup would
   // use; anything that fails here (unknown code, bad params) just means
   // "no stale answer" — the caller produces the real typed error.
   const algo::AlgorithmSpec* spec = algo::find_spec(item.q.algo);
   if (spec == nullptr) return false;
-  algo::QueryParams norm;
+  CacheKey key;
   try {
-    algo::QueryParams raw = item.q.params;
-    if (spec->params.find("source") != nullptr && !raw.has("source"))
-      raw.set("source", item.q.source);
-    norm = spec->params.validate(raw);
+    key = CacheKey::make(spec->code, validated(*spec, item.q));
   } catch (...) {
     return false;
   }
-  const CacheKey key = CacheKey::make(spec->code, norm);
-  QueryResult r;
   {
     MutexLock lk(cache_mutex_);
-    const ResultCache::Value* v = cache_.find_stale(key);
-    if (v == nullptr) return false;
-    r.value = v->checksum;
-    if (item.q.result == ResultKind::Payload) r.payload = v->payload;
+    const ResultCache::StaleHit hit = cache_.find_stale(key);
+    if (hit.value == nullptr) return false;
+    r.value = hit.value->checksum;
+    if (item.q.result == ResultKind::Payload) r.payload = hit.value->payload;
     // The epoch the retired generation was computed on — the client can
     // see exactly how stale the answer is.
-    r.version = stale_version_;
+    r.version = hit.version;
   }
   r.stale = true;
   r.cache_hit = true;
   r.latency_ms = item.submitted.elapsed_ms();
-  record(r.latency_ms, ws);
-  {
-    MutexLock lk(stats_mutex_);
-    ++stats_.completed;
-    ++stats_.stale_served;
-    --stats_.in_flight;
-  }
-  // A stale answer is a success to the client; the window sees it as one.
-  observe_settled(item.q.algo, r.latency_ms, obs::SlidingWindow::kOk);
-  settle_heartbeat(ws);
-  item.promise.set_value(r);
   return true;
-}
-
-void GraphService::invalidate_cache(std::uint64_t published_version) {
-  bool wiped = false;
-  {
-    MutexLock lk(cache_mutex_);
-    wiped = cache_.size() != 0;
-    if (opts_.serve_stale) {
-      // Rotate unconditionally: the retired generation must never lag
-      // more than one epoch (an empty live generation displacing an
-      // older stale one is correct — no stale answer beats an ancient
-      // one). Advance the version eagerly so the rotation and its epoch
-      // stamp stay consistent.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-      if (published_version > cache_version_)
-        cache_version_ = published_version;
-    } else {
-      if (wiped) cache_.clear();
-      // Leave cache_version_ behind the store version; the next miss
-      // brings the generation forward.
-    }
-    // This path records no permutation for the generation it opened.
-    cache_perm_known_ = false;
-  }
-  if (wiped) {
-    MutexLock slk(stats_mutex_);
-    ++stats_.invalidations;
-  }
 }
 
 void GraphService::refresh_cache(
     std::uint64_t prev_version, std::uint64_t new_version,
     const algo::EdgeDelta& delta,
     const std::shared_ptr<const Permutation>& perm) {
-  // Phase A (cache lock): drain the live generation and open the new
+  // Phase A (cache lock): take the live generation and open the new
   // one. The generation advances EAGERLY — a concurrent miss computed
   // against the new epoch must land in the new generation, and the
-  // reinserts below must find it current.
-  std::vector<std::pair<CacheKey, ResultCache::Value>> entries;
-  std::size_t live_before = 0;
-  bool perm_stable = false;
+  // reinserts below must find it current. In stale-serve mode the
+  // retired generation is the pre-publish one; refreshed entries go into
+  // the LIVE generation only, so the stale one stays a faithful picture
+  // of the previous epoch.
+  ResultCache::Refresh batch;
   {
     MutexLock lk(cache_mutex_);
-    live_before = cache_.size();
-    // A lagging or bypassed generation (version mismatch) holds entries
-    // for some OTHER epoch than the one this delta steps from — they
-    // can only be dropped.
-    if (cache_version_ == prev_version && live_before != 0)
-      entries = cache_.entries();
-    perm_stable = cache_perm_known_ &&
-                  ((cache_perm_ == nullptr && perm == nullptr) ||
-                   (cache_perm_ != nullptr && perm != nullptr &&
-                    *cache_perm_ == *perm));
-    if (opts_.serve_stale) {
-      // Same rotation contract as invalidate_cache: the retired
-      // generation is the pre-publish one. Entries refreshed below are
-      // reinserted into the LIVE generation only — the stale one stays
-      // a faithful picture of the previous epoch.
-      cache_.rotate();
-      stale_version_ = cache_version_;
-    } else {
-      cache_.clear();
-    }
-    if (new_version > cache_version_) cache_version_ = new_version;
-    cache_perm_ = perm;
-    cache_perm_known_ = true;
+    batch = cache_.begin_refresh(prev_version, new_version, perm);
   }
 
   // Phase B (no cache lock): recompute every refreshable entry against
   // the new epoch. Query traffic proceeds concurrently — misses for the
   // new epoch just compute-and-insert as usual.
   std::vector<std::pair<CacheKey, ResultCache::Value>> fresh;
-  std::vector<std::pair<std::string, double>> hook_ms;
-  if (!entries.empty()) {
+  if (!batch.entries.empty()) {
     const SnapshotRef snap = store_.acquire();
-    bool usable = snap && snap.version() == new_version;
     // Publish-level fallback threshold: a bulk rewrite refreshes
     // nothing (every hook would fall back to a full run anyway — better
     // to let queries recompute on demand than serialize N full runs on
     // the writer thread).
-    if (usable) {
-      const auto m = static_cast<double>(
-          std::max<EdgeId>(snap.graph().num_edges(), 1));
-      if (static_cast<double>(delta.size()) >
-          opts_.refresh_max_delta_fraction * m)
-        usable = false;
-    }
+    bool usable = snap && snap.version() == new_version &&
+                  static_cast<double>(delta.size()) <=
+                      opts_.refresh_max_delta_fraction *
+                          static_cast<double>(std::max<EdgeId>(
+                              snap.graph().num_edges(), 1));
     // The delta arrives in original ids; the hooks work in snapshot
     // ids. An endpoint outside the permutation means the delta does not
     // match this perm — drop everything rather than refresh wrongly.
@@ -865,23 +707,17 @@ void GraphService::refresh_cache(
           perm != nullptr ? snap_delta : delta;
       EnginePool::Lease lease = pool_.lease(snap);
       const VertexId n = snap.graph().num_vertices();
-      for (auto& [key, val] : entries) {
+      for (auto& [key, val] : batch.entries) {
         const algo::AlgorithmSpec* spec = algo::find_spec(val.code);
         if (spec == nullptr || !spec->refresh || val.payload == nullptr)
           continue;
-        if (spec->refresh_needs_stable_perm && !perm_stable) continue;
+        if (spec->refresh_needs_stable_perm && !batch.perm_stable) continue;
         try {
           Timer hook;
           algo::QueryParams exec = val.params;
-          if (spec->params.find("source") != nullptr) {
-            VertexId src = exec.get_vertex("source");
-            if (perm != nullptr) {
-              if (src >= static_cast<VertexId>(perm->size())) continue;
-              src = (*perm)[src];
-            }
-            if (src >= n) continue;
-            exec.set("source", src);
-          }
+          if (spec->params.find("source") != nullptr)
+            exec.set("source", snapshot_source(exec.get_vertex("source"),
+                                               perm.get(), n));
           // The cached payload is in original ids; hand the hook a view
           // in THIS snapshot's id space. Throws (and drops the entry)
           // when sizes no longer line up — e.g. vertex growth.
@@ -898,18 +734,20 @@ void GraphService::refresh_cache(
             out = spec->refresh(lease.engine(), exec, prev_snap, eng_delta,
                                 ctx);
           }
-          ResultCache::Value nv;
           // Checksum in snapshot order, translate after — the exact
-          // sequence process() runs, so a refreshed entry is
+          // sequence execute() runs, so a refreshed entry is
           // indistinguishable from a recomputed one.
-          nv.checksum = spec->checksum(out);
-          nv.payload = std::make_shared<const algo::QueryPayload>(
+          val.checksum = spec->checksum(out);
+          val.payload = std::make_shared<const algo::QueryPayload>(
               perm != nullptr ? algo::translate_to_original_ids(out, *perm)
                               : std::move(out));
-          nv.code = val.code;
-          nv.params = val.params;
-          hook_ms.emplace_back(val.code, hook.elapsed_ms());
-          fresh.emplace_back(key, std::move(nv));
+          {
+            MutexLock slk(stats_mutex_);
+            auto& [count, total_ms] = refresh_lat_[val.code];
+            ++count;
+            total_ms += hook.elapsed_ms();
+          }
+          fresh.emplace_back(key, std::move(val));
         } catch (...) {
           // Refresh is best-effort: a throwing hook degrades to the
           // plain invalidation this entry would have gotten anyway.
@@ -920,39 +758,14 @@ void GraphService::refresh_cache(
 
   // Phase C (cache lock): reinsert, unless yet another publish already
   // superseded the generation we refreshed for.
+  batch.entries = std::move(fresh);
   std::size_t reinserted = 0;
   {
     MutexLock lk(cache_mutex_);
-    if (cache_version_ == new_version) {
-      for (auto& [key, val] : fresh) cache_.insert(key, std::move(val));
-      reinserted = fresh.size();
-    }
+    reinserted = cache_.finish_refresh(std::move(batch));
   }
-  const std::size_t dropped = live_before - reinserted;
-  {
-    MutexLock slk(stats_mutex_);
-    stats_.refreshes += reinserted;
-    // One invalidation per publish that dropped anything — mirrors
-    // invalidate_cache's per-wipe (not per-entry) accounting.
-    if (dropped > 0) ++stats_.invalidations;
-    for (const auto& [code, ms] : hook_ms) {
-      auto& slot = refresh_lat_[code];
-      ++slot.first;
-      slot.second += ms;
-    }
-  }
-}
-
-void GraphService::prewarm_engines() {
-  const SnapshotRef snap = store_.acquire();
-  if (!snap) return;
-  try {
-    EnginePool::Lease lease = pool_.lease(snap);
-    lease.engine().prewarm();
-  } catch (...) {
-    // Pre-warm is an optimization; a failure here must not fail the
-    // publish that requested it.
-  }
+  MutexLock slk(stats_mutex_);
+  stats_.refreshes += reinserted;
 }
 
 std::vector<GraphService::RefreshLatency> GraphService::refresh_latency()
@@ -972,22 +785,10 @@ ServiceHealth GraphService::health() const {
     h.accepting = !stopping_;
     h.queue_depth = queue_.size();
   }
-  const std::int64_t now_us = steady_now_us();
-  h.workers.reserve(worker_state_.size());
-  for (const auto& ws : worker_state_) {
-    WorkerHealth w;
-    w.processed = ws->processed.load(std::memory_order_relaxed);
-    const std::int64_t since = ws->busy_since_us.load(std::memory_order_acquire);
-    if (since >= 0) {
-      w.busy = true;
-      // Clamp: the worker may have stamped after our now_us read.
-      w.busy_ms = static_cast<double>(std::max<std::int64_t>(
-                      0, now_us - since)) /
-                  1000.0;
-      ++h.in_flight;
-      h.oldest_running_ms = std::max(h.oldest_running_ms, w.busy_ms);
-    }
-    h.workers.push_back(w);
+  h.workers = worker_health();
+  for (const WorkerHealth& w : h.workers) {
+    h.in_flight += w.busy ? 1 : 0;
+    h.oldest_running_ms = std::max(h.oldest_running_ms, w.busy_ms);
   }
   if (window_ != nullptr) {
     const obs::WindowSnapshot w = window_->snapshot(obs::Tracer::now_ns());
@@ -1010,7 +811,7 @@ ServiceHealth GraphService::health() const {
   return h;
 }
 
-void GraphService::record(double latency_ms, WorkerState* ws) {
+void GraphService::LatencyRecorder::record(double latency_ms) {
   // Log-bucketed microseconds (~6% resolution, bounded bin count — a
   // one-off multi-second outlier must not balloon the histogram). 0
   // rounds up to 1us so the p50 of all-cache-hit workloads is not
@@ -1018,52 +819,48 @@ void GraphService::record(double latency_ms, WorkerState* ws) {
   const auto us = static_cast<std::uint64_t>(
       std::max(1.0, latency_ms * 1000.0));
   const std::uint64_t bucket = log_bucket(us);
-  if (ws != nullptr) {
-    // Worker completions land in the worker's own histogram: uncontended
-    // in steady state (latency() is the only other reader).
-    MutexLock lk(ws->lat_mutex);
-    ws->lat_buckets.add(bucket);
-    ws->lat_sum_ms += latency_ms;
-  } else {
-    // Off-worker samples (submit-thread stale serves).
-    MutexLock lk(stats_mutex_);
-    latency_buckets_.add(bucket);
-    latency_sum_ms_ += latency_ms;
-  }
+  MutexLock lk(mutex_);
+  buckets_.add(bucket);
+  sum_ms_ += latency_ms;
+}
+
+void GraphService::LatencyRecorder::merge_into(Histogram& h,
+                                               double& sum_ms) const {
+  MutexLock lk(mutex_);
+  h.merge(buckets_);
+  sum_ms += sum_ms_;
 }
 
 GraphServiceStats GraphService::stats() const {
-  MutexLock lk(stats_mutex_);
-  return stats_;
+  GraphServiceStats s;
+  {
+    MutexLock lk(stats_mutex_);
+    s = stats_;
+  }
+  MutexLock lk(cache_mutex_);
+  s.invalidations = cache_.wipes();
+  s.evictions = cache_.evictions();
+  return s;
 }
 
 LatencySummary GraphService::latency() const {
-  // Merge the per-worker histograms with the service-level one; locks
-  // are taken one at a time (no nesting), so workers keep recording.
+  // Recorders are locked one at a time (no nesting), so workers keep
+  // recording.
   Histogram merged;
   double sum_ms = 0;
-  {
-    MutexLock lk(stats_mutex_);
-    merged = latency_buckets_;
-    sum_ms = latency_sum_ms_;
-  }
-  for (const auto& ws : worker_state_) {
-    MutexLock lk(ws->lat_mutex);
-    merged.merge(ws->lat_buckets);
-    sum_ms += ws->lat_sum_ms;
-  }
+  submit_latency_.merge_into(merged, sum_ms);
+  for (const auto& ws : worker_state_) ws->latency.merge_into(merged, sum_ms);
   LatencySummary s;
   s.samples = merged.total();
   if (s.samples == 0) return s;
-  s.p50_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.50))) /
-      1e3;
-  s.p95_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.95))) /
-      1e3;
-  s.p99_ms =
-      static_cast<double>(log_bucket_floor(merged.value_at_quantile(0.99))) /
-      1e3;
+  const auto quantile_ms = [&merged](double q) {
+    return static_cast<double>(
+               log_bucket_floor(merged.value_at_quantile(q))) /
+           1e3;
+  };
+  s.p50_ms = quantile_ms(0.50);
+  s.p95_ms = quantile_ms(0.95);
+  s.p99_ms = quantile_ms(0.99);
   s.mean_ms = sum_ms / static_cast<double>(s.samples);
   return s;
 }
@@ -1083,46 +880,52 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
     s.value = value;
     out.push_back(std::move(s));
   };
+  auto counter = [&emit](const char* name, const char* help,
+                         std::uint64_t value,
+                         std::vector<std::pair<std::string, std::string>>
+                             labels = {}) {
+    emit(MetricType::Counter, name, help, static_cast<double>(value),
+         std::move(labels));
+  };
+  auto quantiles = [&emit](const char* name, const char* help, double p50,
+                           double p95, double p99) {
+    emit(MetricType::Summary, name, help, p50, {{"quantile", "0.5"}});
+    emit(MetricType::Summary, name, help, p95, {{"quantile", "0.95"}});
+    emit(MetricType::Summary, name, help, p99, {{"quantile", "0.99"}});
+  };
 
   const GraphServiceStats st = stats();
-  emit(MetricType::Counter, "vebo_service_submitted_total",
-       "queries ever submitted (accepted or rejected)",
-       static_cast<double>(st.submitted));
-  emit(MetricType::Counter, "vebo_service_rejected_total",
-       "submits rejected by backpressure", static_cast<double>(st.rejected));
-  emit(MetricType::Counter, "vebo_service_completed_total",
-       "queries answered successfully", static_cast<double>(st.completed));
-  emit(MetricType::Counter, "vebo_service_failed_total",
-       "queries completed exceptionally", static_cast<double>(st.failed));
+  counter("vebo_service_submitted_total",
+          "queries ever submitted (accepted or rejected)", st.submitted);
+  counter("vebo_service_rejected_total", "submits rejected by backpressure",
+          st.rejected);
+  counter("vebo_service_completed_total", "queries answered successfully",
+          st.completed);
+  counter("vebo_service_failed_total", "queries completed exceptionally",
+          st.failed);
   emit(MetricType::Gauge, "vebo_service_in_flight",
        "accepted queries not yet settled",
        static_cast<double>(st.in_flight));
-  emit(MetricType::Counter, "vebo_service_shed_total",
-       "accepted queries shed before execution",
-       static_cast<double>(st.shed_deadline), {{"reason", "deadline"}});
-  emit(MetricType::Counter, "vebo_service_shed_total",
-       "accepted queries shed before execution",
-       static_cast<double>(st.shed_cancelled), {{"reason", "cancelled"}});
-  emit(MetricType::Counter, "vebo_service_stale_served_total",
-       "answers served from the retired cache generation",
-       static_cast<double>(st.stale_served));
+  counter("vebo_service_shed_total", "accepted queries shed before execution",
+          st.shed_deadline, {{"reason", "deadline"}});
+  counter("vebo_service_shed_total", "accepted queries shed before execution",
+          st.shed_cancelled, {{"reason", "cancelled"}});
+  counter("vebo_service_stale_served_total",
+          "answers served from the retired cache generation", st.stale_served);
   for (std::size_t i = 0; i < kNumErrorCodes; ++i)
-    emit(MetricType::Counter, "vebo_service_errors_total",
-         "failures by ServiceError code",
-         static_cast<double>(st.errors_by_code[i]),
-         {{"code", to_string(static_cast<ErrorCode>(i))}});
+    counter("vebo_service_errors_total", "failures by ServiceError code",
+            st.errors_by_code[i],
+            {{"code", to_string(static_cast<ErrorCode>(i))}});
 
-  // Result cache: hits/invalidations come from the service ledger,
-  // occupancy and evictions from the cache itself.
-  emit(MetricType::Counter, "vebo_cache_hits_total",
-       "queries answered from the live cache generation",
-       static_cast<double>(st.cache_hits));
-  emit(MetricType::Counter, "vebo_cache_invalidations_total",
-       "cache generations wiped or rotated by publish",
-       static_cast<double>(st.invalidations));
-  emit(MetricType::Counter, "vebo_cache_refreshes_total",
-       "entries refreshed in place across a publish (refresh_on_publish)",
-       static_cast<double>(st.refreshes));
+  // Result cache: hits come from the service ledger, wipes, occupancy
+  // and evictions from the cache itself.
+  counter("vebo_cache_hits_total",
+          "queries answered from the live cache generation", st.cache_hits);
+  counter("vebo_cache_invalidations_total",
+          "cache generations wiped or rotated by publish", st.invalidations);
+  counter("vebo_cache_refreshes_total",
+          "entries refreshed in place across a publish (refresh_on_publish)",
+          st.refreshes);
   for (const RefreshLatency& rl : refresh_latency()) {
     emit(MetricType::Gauge, "vebo_cache_refresh_latency_ms_sum",
          "total wall time spent in refresh hooks", rl.total_ms,
@@ -1131,11 +934,10 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
          "refresh-hook invocations", static_cast<double>(rl.count),
          {{"algo", rl.algo}});
   }
+  counter("vebo_cache_evictions_total",
+          "entries LRU-evicted from a full cache", st.evictions);
   {
     MutexLock lk(cache_mutex_);
-    emit(MetricType::Counter, "vebo_cache_evictions_total",
-         "entries LRU-evicted from a full cache",
-         static_cast<double>(cache_.evictions()));
     emit(MetricType::Gauge, "vebo_cache_entries",
          "live-generation entries resident",
          static_cast<double>(cache_.size()));
@@ -1145,33 +947,26 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   }
 
   const EnginePoolStats ps = pool_.stats();
-  emit(MetricType::Counter, "vebo_pool_engines_created_total",
-       "engine contexts ever constructed", static_cast<double>(ps.created));
-  emit(MetricType::Counter, "vebo_pool_leases_total",
-       "engine leases handed out", static_cast<double>(ps.leases));
-  emit(MetricType::Counter, "vebo_pool_rebinds_total",
-       "leases that crossed a snapshot version",
-       static_cast<double>(ps.rebinds));
-  emit(MetricType::Counter, "vebo_pool_waits_total",
-       "leases that blocked on a full pool", static_cast<double>(ps.waits));
+  counter("vebo_pool_engines_created_total", "engine contexts ever constructed",
+          ps.created);
+  counter("vebo_pool_leases_total", "engine leases handed out", ps.leases);
+  counter("vebo_pool_rebinds_total", "leases that crossed a snapshot version",
+          ps.rebinds);
+  counter("vebo_pool_waits_total", "leases that blocked on a full pool",
+          ps.waits);
 
   const SnapshotStoreStats ss = store_.stats();
-  emit(MetricType::Counter, "vebo_snapshots_published_total",
-       "epochs ever published", static_cast<double>(ss.published));
-  emit(MetricType::Counter, "vebo_snapshots_reclaimed_total",
-       "epochs whose last reference dropped",
-       static_cast<double>(ss.reclaimed));
+  counter("vebo_snapshots_published_total", "epochs ever published",
+          ss.published);
+  counter("vebo_snapshots_reclaimed_total",
+          "epochs whose last reference dropped", ss.reclaimed);
   emit(MetricType::Gauge, "vebo_snapshots_live", "published - reclaimed",
        static_cast<double>(ss.live));
 
   const LatencySummary ls = latency();
-  const char* lat_help = "submit-to-completion latency quantiles";
-  emit(MetricType::Summary, "vebo_service_latency_ms", lat_help, ls.p50_ms,
-       {{"quantile", "0.5"}});
-  emit(MetricType::Summary, "vebo_service_latency_ms", lat_help, ls.p95_ms,
-       {{"quantile", "0.95"}});
-  emit(MetricType::Summary, "vebo_service_latency_ms", lat_help, ls.p99_ms,
-       {{"quantile", "0.99"}});
+  quantiles("vebo_service_latency_ms",
+            "submit-to-completion latency quantiles", ls.p50_ms, ls.p95_ms,
+            ls.p99_ms);
   emit(MetricType::Gauge, "vebo_service_latency_ms_sum",
        "total latency over all samples",
        ls.mean_ms * static_cast<double>(ls.samples));
@@ -1197,13 +992,8 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
            "windowed failures by ServiceError code",
            static_cast<double>(w.errors_by_code[i]),
            {{"code", to_string(static_cast<ErrorCode>(i))}});
-    const char* wlat_help = "windowed latency quantiles";
-    emit(MetricType::Summary, "vebo_service_latency_ms_window", wlat_help,
-         w.p50_ms, {{"quantile", "0.5"}});
-    emit(MetricType::Summary, "vebo_service_latency_ms_window", wlat_help,
-         w.p95_ms, {{"quantile", "0.95"}});
-    emit(MetricType::Summary, "vebo_service_latency_ms_window", wlat_help,
-         w.p99_ms, {{"quantile", "0.99"}});
+    quantiles("vebo_service_latency_ms_window", "windowed latency quantiles",
+              w.p50_ms, w.p95_ms, w.p99_ms);
     for (const obs::AlgoWindowStats& a : w.per_algo) {
       const char* alat_help = "windowed latency quantiles per algorithm";
       emit(MetricType::Summary, "vebo_algo_latency_ms_window", alat_help,
@@ -1222,15 +1012,15 @@ void GraphService::collect_metrics(std::vector<obs::MetricSample>& out) const {
   }
 
   // Tail sampling + flight recorder activity.
-  emit(MetricType::Counter, "vebo_traces_captured_total",
-       "tail-sampled traces kept (slow / deadline / failed)",
-       static_cast<double>(trace_store_.captured()));
+  counter("vebo_traces_captured_total",
+          "tail-sampled traces kept (slow / deadline / failed)",
+          trace_store_.captured());
   emit(MetricType::Gauge, "vebo_traces_stored",
        "keeper traces resident in the trace store",
        static_cast<double>(trace_store_.size()));
-  emit(MetricType::Counter, "vebo_recorder_dumps_total",
-       "flight-recorder dumps taken (process-wide)",
-       static_cast<double>(obs::FlightRecorder::instance().dumps()));
+  counter("vebo_recorder_dumps_total",
+          "flight-recorder dumps taken (process-wide)",
+          obs::FlightRecorder::instance().dumps());
 }
 
 }  // namespace vebo::serve

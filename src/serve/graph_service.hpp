@@ -30,14 +30,16 @@
 // the algorithm's typed QueryPayload (per-vertex vectors, top-k lists).
 //
 // Results are futures. Each completed query reports the epoch version it
-// ran on, its submit-to-completion latency (recorded into a histogram;
-// p50/p95/p99 via latency()), and whether it was served from the
-// version-keyed result cache. The cache is keyed canonically on
-// (code, validated params) — spelling, ordering, and default-reliance
-// cannot split semantically identical queries — holds results for the
-// current epoch only, and is wiped on publish; within an epoch, overflow
-// evicts LRU entries (stats: `evictions`, distinct from `invalidations`).
-// A cached value can never outlive the graph state it was computed on.
+// ran on, its submit-to-completion latency (p50/p95/p99 via latency()),
+// and whether it was served from the version-keyed result cache. Every
+// query ends in one place, settle(), in a fixed order: ledger, latency,
+// tail sample, window, heartbeat, then the promise. The cache is keyed
+// canonically on (code, validated params) — spelling, ordering, and
+// default-reliance cannot split semantically identical queries — holds
+// results for the current epoch only, and is wiped on publish; within an
+// epoch, overflow evicts LRU entries (stats: `evictions`, distinct from
+// `invalidations`). A cached value can never outlive the graph state it
+// was computed on.
 //
 // Query.source / params["source"] and every vertex id inside a returned
 // payload are in ORIGINAL vertex ids when the published snapshot carries
@@ -66,6 +68,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -98,16 +101,14 @@ namespace vebo::serve {
 /// budgets at <=3% on both guarded op points.
 struct TelemetryOptions {
   /// Tail sampling: EVERY query runs under a reusable per-worker trace
-  /// ring (no per-query allocation); at completion the service decides
-  /// keep or drop. Kept into trace_store(): queries slower than the
-  /// rolling threshold (windowed p99 x keep_latency_factor, floored at
-  /// keep_min_ms), deadline hits, and ServiceError failures. Dropped:
-  /// everything else, for the cost of a few clock reads. Explicit
-  /// Query::trace still wins (full-size ring, trace on the result).
+  /// ring (4096 spans, no per-query allocation); at completion the
+  /// service decides keep or drop. Kept into trace_store() (the last 32):
+  /// queries slower than the rolling threshold (windowed p99 x 3,
+  /// floored at keep_min_ms), deadline hits, and ServiceError failures.
+  /// Dropped: everything else, for the cost of a few clock reads.
+  /// Query::trace runs on the same ring with keep forced, and its trace
+  /// goes on the result instead of into the store.
   bool tail_sampling = true;
-  std::size_t sample_ring_capacity = 4096;
-  std::size_t trace_store_capacity = 32;
-  double keep_latency_factor = 3.0;
   /// Absolute floor for the slow-keep threshold so cache-hit jitter on
   /// a microsecond-scale p99 cannot flood the store.
   double keep_min_ms = 1.0;
@@ -127,12 +128,10 @@ struct TelemetryOptions {
   /// Anomaly triggers for the process flight recorder (no-ops unless
   /// obs::FlightRecorder::instance() is armed): windowed error rate >=
   /// anomaly_error_rate over >= anomaly_min_samples, or an in-flight
-  /// query older than anomaly_in_flight_age_ms. The publish path
-  /// triggers on a publish slower than anomaly_publish_stall_ms.
+  /// query older than 1 s. The publish path triggers on a publish slower
+  /// than 250 ms.
   double anomaly_error_rate = 0.5;
   std::uint64_t anomaly_min_samples = 20;
-  double anomaly_in_flight_age_ms = 1000;
-  double anomaly_publish_stall_ms = 250;
 };
 
 struct GraphServiceOptions {
@@ -169,13 +168,6 @@ struct GraphServiceOptions {
   /// falls back to a plain invalidation (and each algorithm's hook
   /// additionally falls back to a full run past its own threshold).
   double refresh_max_delta_fraction = 0.05;
-  /// Opt-in publish-time engine pre-warm: after the epoch is visible,
-  /// the publishing thread leases an engine (forcing the rebind) and
-  /// builds the lazy traversal structures, so the first query of the new
-  /// epoch does not pay them. Runs on the writer thread, after readers
-  /// already see the new epoch — it adds publish latency, not query
-  /// latency.
-  bool prewarm_on_publish = false;
   /// Optional metrics plane: when set, the service registers one
   /// collector that exposes every GraphServiceStats field (including
   /// errors_by_code), the cache size/evictions, the engine-pool
@@ -219,10 +211,12 @@ struct Query {
   /// can never fire. Cancellation is observed within one superstep and
   /// fails the future with ErrorCode::Cancelled.
   CancelToken cancel;
-  /// Opt this query into execution tracing: the worker runs it under an
-  /// armed tracer and QueryResult::trace carries the spans (queue wait,
-  /// cache probe, engine lease, execute with every framework step,
-  /// translate). Untraced queries pay one relaxed atomic load per step.
+  /// Opt this query into execution tracing: the worker's trace ring is
+  /// armed for it (whether or not tail sampling is on) and
+  /// QueryResult::trace carries the spans (queue wait, cache probe,
+  /// engine lease, execute with every framework step, translate). Never
+  /// stored in trace_store(). Untraced queries pay one relaxed atomic
+  /// load per step while no thread holds a trace ring.
   bool trace = false;
 };
 
@@ -266,8 +260,10 @@ struct GraphServiceStats {
   /// executing). The balancing term of the ledger invariant above.
   std::uint64_t in_flight = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t invalidations = 0;  ///< cache wipes (publish / epoch change)
-  std::uint64_t evictions = 0;      ///< single entries LRU-evicted when full
+  /// Cache wipes (publish / epoch change) and single entries LRU-evicted
+  /// when full; read from the ResultCache, outside the ledger.
+  std::uint64_t invalidations = 0;
+  std::uint64_t evictions = 0;
   /// Entries carried across a publish by in-place recompute
   /// (refresh_on_publish). Distinct from invalidations: a refreshing
   /// publish that keeps every entry counts zero invalidations; one that
@@ -394,14 +390,14 @@ class GraphService {
   /// also run by the destructor.
   void stop() EXCLUDES(stop_mutex_, queue_mutex_);
 
-  GraphServiceStats stats() const EXCLUDES(stats_mutex_);
-  LatencySummary latency() const EXCLUDES(stats_mutex_);
+  GraphServiceStats stats() const EXCLUDES(stats_mutex_, cache_mutex_);
+  LatencySummary latency() const;
   ServiceHealth health() const EXCLUDES(queue_mutex_);
   const SnapshotStore& store() const { return store_; }
   const EnginePool& engine_pool() const { return pool_; }
-  /// The tail-sampling sink: the last trace_store_capacity keeper
-  /// traces (slow / deadline / failed queries), captured with zero
-  /// Query::trace opt-in. Export entries with obs::to_chrome_trace_json.
+  /// The tail-sampling sink: the last 32 keeper traces (slow / deadline
+  /// / failed queries), captured with zero Query::trace opt-in. Export
+  /// entries with obs::to_chrome_trace_json.
   const obs::TraceStore& trace_store() const { return trace_store_; }
   /// The sliding window behind health()/metrics (null when
   /// telemetry.window is off); snapshot with obs::Tracer::now_ns().
@@ -416,75 +412,70 @@ class GraphService {
     /// polled by the shed check and, via the engine binding, at every
     /// superstep of the run.
     QueryContext ctx;
-    /// Submit stamp for the trace's queue-wait span; 0 unless the query
-    /// opted into tracing (untraced submits skip the clock read).
-    std::uint64_t enqueued_ns = 0;
+  };
+
+  /// How one query ended. No strings: the hot path builds one per query.
+  struct Outcome {
+    enum class Kind : std::uint8_t { Completed, Failed, Rejected };
+    Kind kind = Kind::Completed;
+    ErrorCode code = ErrorCode::Internal;  ///< Failed / Rejected
+    QueryResult result;                    ///< Completed
+    std::exception_ptr error;              ///< Failed
+    bool shed = false;  ///< ended before execution (cancel or deadline)
+  };
+
+  /// Submit-to-completion latency of completed queries (log-bucketed us
+  /// + sum). One per worker and one for submit-thread stale serves, so
+  /// recording never contends; settle() writes, latency() merges.
+  class LatencyRecorder {
+   public:
+    void record(double latency_ms) EXCLUDES(mutex_);
+    void merge_into(Histogram& h, double& sum_ms) const EXCLUDES(mutex_);
+
+   private:
+    mutable Mutex mutex_;
+    Histogram buckets_ GUARDED_BY(mutex_);
+    double sum_ms_ GUARDED_BY(mutex_) = 0;
   };
 
   /// Per-worker heartbeat state. busy_since_us is a steady-clock
-  /// microsecond stamp; < 0 means idle. The latency histogram is
-  /// per-worker so the record path never contends on the service-wide
-  /// stats mutex; latency() merges them (Histogram::merge).
+  /// microsecond stamp; < 0 means idle.
   struct WorkerState {
     std::atomic<std::uint64_t> processed{0};
     std::atomic<std::int64_t> busy_since_us{-1};
-    /// The pickup stamp behind busy_since_us, kept as a plain field the
-    /// owning worker re-reads inside process(): telemetry derives the
-    /// queue-wait end / probe start from it instead of paying a second
-    /// clock read per query. Worker-thread private.
-    std::int64_t pickup_us = 0;
-    Mutex lat_mutex;
-    /// log_bucket(latency us), see record()
-    Histogram lat_buckets GUARDED_BY(lat_mutex);
-    double lat_sum_ms GUARDED_BY(lat_mutex) = 0;
+    LatencyRecorder latency;
   };
 
   void worker_loop(std::size_t worker_idx) EXCLUDES(queue_mutex_);
-  void process(Item& item, WorkerState& ws)
-      EXCLUDES(stats_mutex_, cache_mutex_);
-  /// Fails the item's future with a ServiceError of the given code,
-  /// counting `failed` and the per-code counter exactly once. `sampled`
-  /// = the caller armed a tail-sampling trace that must be settled
-  /// (failures are always kept). Settles `ws`'s heartbeat before the
-  /// promise resolves.
-  void fail(Item& item, ErrorCode code, const std::string& what,
-            bool sampled = false, WorkerState* ws = nullptr)
+  /// Runs one picked-up query to its settle(); `pickup_us` is the
+  /// heartbeat's pickup stamp, reused as the queue-wait end.
+  void process(Item& item, WorkerState& ws, std::int64_t pickup_us)
       EXCLUDES(stats_mutex_);
-  /// Settles the worker heartbeat for one query: bumps `processed` and
-  /// stamps idle. MUST run before the item's promise resolves (the same
-  /// order the stats ledger settles in) — a client whose future::get()
-  /// returned must observe itself gone from health(): in_flight 0, age
-  /// 0. Settling after resolution leaves a window where the client sees
-  /// its own finished query still running.
-  static void settle_heartbeat(WorkerState* ws);
-  /// Tail-sampling keep/drop decision at completion: failures and
-  /// deadline hits always keep; successes keep iff over the rolling
-  /// threshold. Ends the worker's reusable trace either way.
-  void settle_sample(Item& item, double latency_ms, bool ok, ErrorCode code,
-                     std::uint64_t version);
-  /// Window bookkeeping for one settled query (completion, failure,
-  /// rejection, stale serve) + the rate-limited monitor pass. `code` is
-  /// an ErrorCode index or SlidingWindow::kOk. Pass now_ns when the
-  /// caller already holds a completion stamp (hot path); 0 reads it.
-  void observe_settled(const std::string& algo, double latency_ms,
-                       std::size_t code, std::uint64_t now_ns = 0);
+  /// Snapshot, validation, cache probe and run of one query that passed
+  /// the shed checks, into `r`; throws on failure. `pickup_ns` is the
+  /// queue-wait end (0 when no stage is wanted).
+  void execute(Item& item, std::uint64_t pickup_ns, QueryResult& r)
+      EXCLUDES(cache_mutex_);
+  /// The only code that records a query's end, in this order: ledger,
+  /// latency recorder, tail-sample keep/drop, window, heartbeat, then
+  /// the promise (nothing for a rejection). The heartbeat settles before
+  /// the promise so a client whose future::get() returned never sees its
+  /// own query still running. `ws` is null on the submit thread.
+  void settle(Item& item, Outcome out, WorkerState* ws) EXCLUDES(stats_mutex_);
   /// Rate-limited (monitor_interval_ms) in steady state; while the keep
   /// threshold is still unset (window short of keep_min_samples) it
   /// re-evaluates on every settle so slow-keep arms as soon as there is
   /// evidence. Recomputes the tail-sampling keep threshold from the
   /// windowed p99 and fires the flight-recorder anomaly triggers.
   void maybe_monitor(std::uint64_t now_ns);
-  double oldest_running_ms_now() const;
-  /// Stale-serve attempt for a query that would otherwise fail
-  /// (overload / deadline shed). Returns true iff the promise was
-  /// fulfilled from the previous-epoch generation. `ws` routes the
-  /// latency sample (null from the submit thread).
-  bool try_serve_stale(Item& item, WorkerState* ws)
-      EXCLUDES(cache_mutex_, stats_mutex_);
-  void invalidate_cache(std::uint64_t published_version)
-      EXCLUDES(cache_mutex_, stats_mutex_);
-  /// The refresh-on-publish path (replaces invalidate_cache on a
-  /// delta-carrying publish in refresh mode): drains the live generation,
+  /// Every worker's heartbeat, aged against one clock read.
+  std::vector<WorkerHealth> worker_health() const;
+  /// Stale-serve lookup for a query that would otherwise fail (overload
+  /// / deadline shed): true iff the previous-epoch generation answers
+  /// it, filling `r` (stale, with the epoch it was computed on).
+  bool find_stale_answer(Item& item, QueryResult& r) EXCLUDES(cache_mutex_);
+  /// The refresh-on-publish path (replaces the plain advance on a
+  /// delta-carrying publish in refresh mode): takes the live generation,
   /// recomputes every refreshable entry against the new epoch via its
   /// AlgorithmSpec::refresh hook (outside the cache lock), and reinserts
   /// the survivors keyed to `new_version`. Non-refreshable entries are
@@ -494,13 +485,6 @@ class GraphService {
                      const algo::EdgeDelta& delta,
                      const std::shared_ptr<const Permutation>& perm)
       EXCLUDES(cache_mutex_, stats_mutex_);
-  /// Publish-time engine pre-warm (opts_.prewarm_on_publish): leases an
-  /// engine against the freshly published epoch — forcing the
-  /// rebind + lazy structure builds onto this (writer) thread.
-  void prewarm_engines();
-  /// Records a completion latency into `ws`'s histogram, or the
-  /// service-level one when null (submit-thread stale serves).
-  void record(double latency_ms, WorkerState* ws) EXCLUDES(stats_mutex_);
   /// Emits every service/cache/pool/snapshot stat as metric samples
   /// (the collector registered when options.metrics is set).
   void collect_metrics(std::vector<obs::MetricSample>& out) const
@@ -520,26 +504,12 @@ class GraphService {
   /// because atomics are not movable).
   std::vector<std::unique_ptr<WorkerState>> worker_state_;
 
-  /// Single-epoch result cache: entries are valid for `cache_version_`
-  /// only. Lookups that observe a newer epoch clear it lazily, so even a
-  /// publish bypassing this service (straight into the store) cannot
-  /// cause a stale hit. Within an epoch the cache LRU-evicts. In
-  /// stale-serve mode epoch changes rotate instead of wiping:
-  /// `stale_version_` names the epoch the retired generation was
-  /// computed on.
+  /// Single-epoch result cache (generations and their epochs live in
+  /// ResultCache). An insert at a newer epoch catches up lazily, so even
+  /// a publish bypassing this service (straight into the store) cannot
+  /// cause a stale hit.
   mutable Mutex cache_mutex_;
-  std::uint64_t cache_version_ GUARDED_BY(cache_mutex_) = 0;
-  std::uint64_t stale_version_ GUARDED_BY(cache_mutex_) = 0;
   ResultCache cache_ GUARDED_BY(cache_mutex_);
-  /// The permutation the live generation's payloads were translated
-  /// under, tracked so refresh can tell a perm-preserving publish from a
-  /// re-permuting one (refresh_needs_stable_perm hooks only survive the
-  /// former). `known` goes false whenever the cache generation advances
-  /// through a path that does not record the perm (the lazy epoch catch-
-  /// up in process()) — conservative: unknown perm means "assume it
-  /// changed".
-  std::shared_ptr<const Permutation> cache_perm_ GUARDED_BY(cache_mutex_);
-  bool cache_perm_known_ GUARDED_BY(cache_mutex_) = false;
 
   /// Lock order: the ledger nests stats_mutex_ INSIDE queue_mutex_
   /// (submit counts admission before a worker can pop the item); nothing
@@ -550,11 +520,9 @@ class GraphService {
   /// refresh_latency() and the vebo_cache_refresh_latency_ms_* metrics.
   std::map<std::string, std::pair<std::uint64_t, double>> refresh_lat_
       GUARDED_BY(stats_mutex_);
-  /// Service-level latency histogram: samples recorded off-worker
-  /// (submit-thread stale serves). Worker completions land in the
-  /// per-worker histograms; latency() merges all of them.
-  Histogram latency_buckets_ GUARDED_BY(stats_mutex_);
-  double latency_sum_ms_ GUARDED_BY(stats_mutex_) = 0;
+  /// Latency of submit-thread stale serves; worker completions land in
+  /// their WorkerState's recorder.
+  LatencyRecorder submit_latency_;
 
   /// Always-on telemetry state. The window is null when telemetry.window
   /// is off; the trace store exists regardless (manual pushes possible).

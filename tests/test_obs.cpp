@@ -641,6 +641,35 @@ TEST(TracedQuery, CacheHitTraceMarksProbe) {
     EXPECT_NE(s.kind, SpanKind::Execute);
 }
 
+// Query::trace shares the worker's one reusable trace ring with tail
+// sampling, on or off. The heaviest keys the serving benchmark traces —
+// PageRank at 120 iterations and betweenness — must fit it without
+// wrapping, and a traced query's spans go to the client, never into the
+// tail-sampling store.
+TEST(TracedQuery, HeaviestBenchmarkKeysFitTheRing) {
+  for (const bool sampling : {true, false}) {
+    SCOPED_TRACE(sampling ? "tail sampling on" : "tail sampling off");
+    SnapshotStore store;
+    StreamSession session(*make_graph(10, 8, 31));
+    GraphServiceOptions opts;
+    opts.workers = 1;
+    opts.telemetry.tail_sampling = sampling;
+    GraphService service(store, opts);
+    service.publish_session(session);
+    Query pr("PR");
+    pr.params.set("iterations", 120);
+    const std::uint64_t captured = service.trace_store().captured();
+    for (Query q : {pr, Query("BC", 1)}) {
+      q.trace = true;
+      const QueryResult res = service.query(q);
+      ASSERT_NE(res.trace, nullptr) << q.algo;
+      EXPECT_FALSE(res.trace->spans.empty()) << q.algo;
+      EXPECT_EQ(res.trace->dropped, 0u) << q.algo;
+    }
+    EXPECT_EQ(service.trace_store().captured(), captured);
+  }
+}
+
 // A tail-sampled keeper (a query NOBODY traced) and a flight-recorder
 // dump both export as schema-valid Chrome trace-event JSON — the same
 // bar the opt-in trace export is held to.

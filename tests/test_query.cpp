@@ -158,7 +158,11 @@ TEST(CanonicalKey, CacheKeyHashAgreesWithEquality) {
 // --------------------------------------------------------- ResultCache
 
 serve::CacheKey key_of(int i) {
-  return serve::CacheKey::make("K" + std::to_string(i), QueryParams());
+  // Appended, not `"K" + std::to_string(i)`: GCC 12 at -O3 reports a
+  // false -Wrestrict on that operator+ overload.
+  std::string code = "K";
+  code += std::to_string(i);
+  return serve::CacheKey::make(code, QueryParams());
 }
 
 TEST(ResultCache, LruEvictsOldestNotEverything) {
@@ -182,6 +186,54 @@ TEST(ResultCache, LruEvictsOldestNotEverything) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);  // wipes are not evictions
+}
+
+// Each generation belongs to one epoch: lookups at another epoch miss, an
+// older answer is never inserted, and every displaced non-empty
+// generation counts one wipe — whether a publish (advance_to), an insert
+// catching up on a newer epoch, or a refresh that dropped entries opened
+// the next one. With keep_stale the displaced generation stays readable.
+TEST(ResultCache, GenerationsFollowTheEpoch) {
+  for (const bool keep_stale : {false, true}) {
+    SCOPED_TRACE(keep_stale ? "keep_stale" : "wipe");
+    serve::ResultCache cache(8, keep_stale);
+    cache.advance_to(1, nullptr);
+    cache.insert(1, key_of(1), {1.0, nullptr, "", {}});
+    ASSERT_NE(cache.find(1, key_of(1)), nullptr);
+    EXPECT_EQ(cache.find(2, key_of(1)), nullptr);
+    EXPECT_EQ(cache.wipes(), 0u);
+
+    cache.insert(2, key_of(2), {2.0, nullptr, "", {}});  // catch-up
+    EXPECT_EQ(cache.wipes(), 1u);
+    EXPECT_EQ(cache.find(2, key_of(1)), nullptr);
+    cache.insert(1, key_of(3), {3.0, nullptr, "", {}});  // superseded
+    EXPECT_EQ(cache.size(), 1u);
+    const serve::ResultCache::StaleHit stale = cache.find_stale(key_of(1));
+    if (keep_stale) {
+      ASSERT_NE(stale.value, nullptr);
+      EXPECT_EQ(stale.value->checksum, 1.0);
+      EXPECT_EQ(stale.version, 1u);
+    } else {
+      EXPECT_EQ(stale.value, nullptr);
+    }
+
+    // A refresh that carries every entry over is not a wipe; one that
+    // drops any is.
+    serve::ResultCache::Refresh r = cache.begin_refresh(2, 3, nullptr);
+    EXPECT_EQ(r.displaced, 1u);
+    ASSERT_EQ(r.entries.size(), 1u);
+    EXPECT_FALSE(r.perm_stable);  // the catch-up left the perm unknown
+    EXPECT_EQ(cache.finish_refresh(std::move(r)), 1u);
+    EXPECT_EQ(cache.wipes(), 1u);
+    ASSERT_NE(cache.find(3, key_of(2)), nullptr);
+    r = cache.begin_refresh(3, 4, nullptr);
+    EXPECT_TRUE(r.perm_stable);  // both epochs published without a perm
+    r.entries.clear();           // the recompute failed
+    EXPECT_EQ(cache.finish_refresh(std::move(r)), 0u);
+    EXPECT_EQ(cache.wipes(), 2u);
+    cache.advance_to(4, nullptr);  // already there: nothing displaced
+    EXPECT_EQ(cache.wipes(), 2u);
+  }
 }
 
 // ----------------------------------------------------- payload mechanics

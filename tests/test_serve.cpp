@@ -1208,5 +1208,189 @@ TEST(GraphService, StopRacingPublishWithExpiredQueriesResolvesAll) {
   EXPECT_EQ(s.submitted, s.completed + s.failed + s.rejected);
 }
 
+// A publish straight into the SnapshotStore bypasses GraphService::publish:
+// the cache catches up at the next insert for the new epoch. That catch-up
+// wipes (or, in stale-serve mode, retires) the old generation like any
+// publish does, and counts as one invalidation.
+TEST(GraphService, BypassingPublishCountsItsInvalidation) {
+  for (const bool stale : {false, true}) {
+    SCOPED_TRACE(stale ? "serve_stale" : "default mode");
+    auto g1 = make_graph(9, 6, 210);
+    SnapshotStore store;
+    GraphServiceOptions o = small_service(1);
+    o.serve_stale = stale;
+    GraphService service(store, o);
+    service.publish(g1, part_of(*g1));
+    const QueryResult v1 = service.query({"CC", 0});
+    ASSERT_TRUE(service.query({"CC", 0}).cache_hit);
+    const std::uint64_t before = service.stats().invalidations;
+
+    auto g2 = make_graph(9, 6, 211);
+    ASSERT_EQ(store.publish(g2, part_of(*g2)), 2u);
+    const QueryResult v2 = service.query({"CC", 0});
+    EXPECT_FALSE(v2.cache_hit);
+    EXPECT_EQ(v2.version, 2u);
+    EXPECT_EQ(service.stats().invalidations, before + 1);
+    if (!stale) continue;
+
+    // The retired v1 generation still answers a deadline-shed query.
+    CancelSource stop_slow;
+    Query slow = slow_query();
+    slow.cancel = stop_slow.token();
+    auto running = service.submit(slow);
+    ASSERT_TRUE(running.accepted());
+    wait_until_running(service);
+    Query doomed{"CC", 0};
+    doomed.deadline_ms = 0.01;  // lapses while the worker stays parked
+    auto shed = service.submit(doomed);
+    ASSERT_TRUE(shed.accepted());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop_slow.cancel();
+    EXPECT_THROW(running.result.get(), serve::ServiceError);
+    const QueryResult answer = shed.result.get();
+    EXPECT_TRUE(answer.stale);
+    EXPECT_EQ(answer.version, 1u);
+    EXPECT_EQ(answer.value, v1.value);
+    EXPECT_EQ(service.stats().shed_deadline, 1u);
+  }
+}
+
+// Every way a query can end is settled exactly once: the cumulative
+// latency recorder holds one sample per completion, the window one entry
+// per completion, failure or rejection, the ledger balances, and a
+// future a worker resolved leaves nothing in flight.
+TEST(GraphService, EveryOutcomeSettlesOnce) {
+  using serve::ErrorCode;
+  struct DisarmGuard {
+    ~DisarmGuard() { FaultInjector::instance().disarm_all(); }
+  } guard;
+  const Graph base = gen::rmat(9, 6, 212);
+  StreamSession session(base);
+  SnapshotStore store;
+  GraphServiceOptions o = small_service(1);
+  o.queue_capacity = 1;
+  o.serve_stale = true;
+  GraphService service(store, o);
+
+  const auto check = [&](const char* what) {
+    SCOPED_TRACE(what);
+    const serve::GraphServiceStats s = service.stats();
+    EXPECT_EQ(service.latency().samples, s.completed);
+    EXPECT_EQ(service.health().window_samples,
+              s.completed + s.failed + s.rejected);
+    EXPECT_EQ(s.submitted, s.completed + s.failed + s.rejected + s.in_flight);
+  };
+  // Right after future::get() on the last query a worker had.
+  const auto check_idle = [&](const char* what) {
+    check(what);
+    EXPECT_EQ(service.health().in_flight, 0u) << what;
+    EXPECT_EQ(service.stats().in_flight, 0u) << what;
+  };
+  const auto expect_code = [](std::future<QueryResult>& f, ErrorCode code) {
+    try {
+      f.get();
+      ADD_FAILURE() << "expected " << serve::to_string(code);
+    } catch (const serve::ServiceError& e) {
+      EXPECT_EQ(e.code(), code);
+    }
+  };
+  // Parks the single worker on a cancellable traversal; the queue's one
+  // slot is then the only room left.
+  const auto park = [&](CancelSource& stop) {
+    Query slow = slow_query();
+    slow.cancel = stop.token();
+    auto running = service.submit(slow);
+    EXPECT_TRUE(running.accepted());
+    wait_until_running(service);
+    return std::move(running.result);
+  };
+
+  auto none = service.submit({"CC", 0});
+  ASSERT_TRUE(none.accepted());
+  expect_code(none.result, ErrorCode::NoSnapshot);
+  check_idle("no snapshot");
+
+  service.publish_session(session);
+  const QueryResult miss = service.query({"CC", 0});
+  EXPECT_FALSE(miss.cache_hit);
+  check_idle("miss");
+  EXPECT_TRUE(service.query({"CC", 0}).cache_hit);
+  check_idle("hit");
+  auto bad = service.submit({"NOPE", 0});
+  ASSERT_TRUE(bad.accepted());
+  expect_code(bad.result, ErrorCode::BadRequest);
+  check_idle("bad request");
+  FaultInjector::instance().arm(FaultInjector::Hook::QueryThrow, 1.0);
+  auto thrown = service.submit({"PR", 0});
+  ASSERT_TRUE(thrown.accepted());
+  expect_code(thrown.result, ErrorCode::Internal);
+  FaultInjector::instance().disarm_all();
+  check_idle("injected throw");
+
+  // Retire the CC answer into the stale generation.
+  session.apply(std::vector<EdgeUpdate>{EdgeUpdate::insert(1, 2)});
+  service.publish_session(session);
+
+  {
+    CancelSource stop;
+    auto running = park(stop);
+    Query doomed{"CC", 0};
+    doomed.deadline_ms = 0.01;
+    auto shed = service.submit(doomed);  // takes the queue's one slot
+    ASSERT_TRUE(shed.accepted());
+    // Queue full: the cached key is answered stale on the submit thread,
+    // another key is rejected.
+    auto overflow = service.submit({"CC", 0});
+    ASSERT_TRUE(overflow.accepted());
+    EXPECT_TRUE(overflow.result.get().stale);
+    check("queue full, served stale");
+    EXPECT_EQ(service.submit({"BFS", 3}).status, SubmitStatus::QueueFull);
+    check("queue full, rejected");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop.cancel();
+    expect_code(running, ErrorCode::Cancelled);
+    const QueryResult stale = shed.result.get();
+    EXPECT_TRUE(stale.stale);
+    EXPECT_EQ(stale.version, miss.version);
+    check_idle("deadline shed, served stale");
+  }
+  {
+    CancelSource stop;
+    auto running = park(stop);
+    Query doomed{"BFS", 5};
+    doomed.deadline_ms = 0.01;
+    auto shed = service.submit(doomed);
+    ASSERT_TRUE(shed.accepted());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    stop.cancel();
+    expect_code(running, ErrorCode::Cancelled);
+    expect_code(shed.result, ErrorCode::DeadlineExceeded);
+    check_idle("deadline shed, failed");
+  }
+  {
+    CancelSource stop, give_up;
+    auto running = park(stop);
+    Query q{"BFS", 6};
+    q.cancel = give_up.token();
+    auto queued = service.submit(q);
+    ASSERT_TRUE(queued.accepted());
+    give_up.cancel();
+    stop.cancel();
+    expect_code(running, ErrorCode::Cancelled);
+    expect_code(queued.result, ErrorCode::Cancelled);
+    check_idle("cancelled while queued");
+  }
+
+  const serve::GraphServiceStats s = service.stats();
+  EXPECT_EQ(s.completed, 4u);  // miss, hit, two stale answers
+  EXPECT_EQ(s.stale_served, 2u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.failed, 8u);
+  EXPECT_EQ(s.shed_deadline, 2u);
+  EXPECT_EQ(s.shed_cancelled, 1u);
+  EXPECT_EQ(s.errors(ErrorCode::Cancelled), 4u);
+  EXPECT_EQ(s.errors(ErrorCode::Overloaded), 1u);
+}
+
 }  // namespace
 }  // namespace vebo

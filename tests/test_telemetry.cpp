@@ -488,6 +488,39 @@ TEST(TailSampling, ExplicitTraceStillWinsAndIsNotDoubleStored) {
   EXPECT_EQ(service.trace_store().captured(), 0u);
 }
 
+// A traced query that fails returns no trace and, traced by the client,
+// is not a tail sample either: nothing is stored. The worker's ring is
+// released all the same, so the next traced query gets its spans.
+TEST(TailSampling, FailedTracedQueryStoresNothing) {
+  TelemetryGuard guard;
+  for (const bool sampling : {true, false}) {
+    SCOPED_TRACE(sampling ? "tail sampling on" : "tail sampling off");
+    SnapshotStore store;
+    StreamSession session(*make_graph(8, 4, 26));
+    GraphServiceOptions o = sampling_opts();
+    o.telemetry.tail_sampling = sampling;
+    GraphService service(store, o);
+    service.publish_session(session);
+
+    Query bad;
+    bad.algo = "NOPE";
+    bad.trace = true;
+    EXPECT_THROW((void)service.query(bad), serve::ServiceError);
+    FaultInjector::instance().arm(Hook::QueryThrow, 1.0);
+    Query doomed;
+    doomed.algo = "PR";
+    doomed.trace = true;
+    EXPECT_THROW((void)service.query(doomed), serve::ServiceError);
+    FaultInjector::instance().disarm_all();
+    EXPECT_EQ(service.trace_store().captured(), 0u);
+
+    const QueryResult r = service.query(doomed);
+    ASSERT_NE(r.trace, nullptr);
+    EXPECT_FALSE(r.trace->spans.empty());
+    EXPECT_EQ(service.trace_store().captured(), 0u);
+  }
+}
+
 TEST(TailSampling, DisabledMeansNoCaptures) {
   TelemetryGuard guard;
   SnapshotStore store;

@@ -22,6 +22,10 @@ compile-time drift in:
   metric-names    Every `"vebo_*"` string literal in src/ is pinned by
                   tests/test_obs.cpp (the pinned-name exposition test) — a
                   new metric name lands in the test or does not land at all.
+  promise-settle  In src/, `set_value(` / `set_exception(` appear only inside
+                  `GraphService::settle` — the one place a query's end is
+                  recorded (ledger, latency, tail sample, window, heartbeat)
+                  before its promise resolves.
 
 Suppression: append on the offending line (or the line directly above)
 
@@ -47,6 +51,7 @@ RULE_IDS = (
     "hot-atomics",
     "kernel-purity",
     "metric-names",
+    "promise-settle",
 )
 
 # --- per-rule configuration (paths are repo-root-relative) -----------------
@@ -92,6 +97,9 @@ KERNEL_BANNED_RE = re.compile(
 METRIC_PIN_FILE = "tests/test_obs.cpp"
 METRIC_LITERAL_RE = re.compile(r'"(vebo_[a-z0-9_]+)"')
 METRIC_TOKEN_RE = re.compile(r"\bvebo_[a-z0-9_]+\b")
+
+SETTLE_DEF_RE = re.compile(r"\bGraphService::settle\s*\(")
+PROMISE_RE = re.compile(r"\bset_(?:value|exception)\s*\(")
 
 SUPPRESS_RE = re.compile(
     r"//\s*vebo-lint:\s*disable=([a-z-]+)\s*(?:--\s*(.*\S)?)?\s*$"
@@ -257,6 +265,51 @@ def rule_metric_names(rel, lines, pinned):
     return out
 
 
+def _definition_body_lines(lines, header_re):
+    """0-based indices of the lines spanned by every function definition
+    whose header matches header_re (header line through closing brace).
+    A match that reaches `;` before `{` is a declaration and spans
+    nothing."""
+    spanned = set()
+    i = 0
+    while i < len(lines):
+        if not header_re.search(lines[i].split("//")[0]):
+            i += 1
+            continue
+        depth, entered, j, body = 0, False, i, []
+        while j < len(lines):
+            for c in lines[j].split("//")[0]:
+                if c == "{":
+                    depth, entered = depth + 1, True
+                elif c == "}":
+                    depth -= 1
+                elif c == ";" and not entered:
+                    body = None
+                    break
+            if body is None:
+                break
+            body.append(j)
+            if entered and depth == 0:
+                break
+            j += 1
+        spanned.update(body or [])
+        i = j + 1
+    return spanned
+
+
+def rule_promise_settle(rel, lines):
+    allowed = _definition_body_lines(lines, SETTLE_DEF_RE)
+    out = []
+    for i, line in enumerate(lines):
+        if i not in allowed and PROMISE_RE.search(line.split("//")[0]):
+            out.append(Finding(
+                "promise-settle", rel, i + 1,
+                "promise resolved outside GraphService::settle; end the "
+                "query through settle() so the ledger, latency, tail "
+                "sample, window and heartbeat record it first"))
+    return out
+
+
 # --- driver ----------------------------------------------------------------
 
 CXX_EXTS = (".hpp", ".cpp", ".h", ".cc", ".cxx", ".hh")
@@ -285,6 +338,7 @@ def lint_file(root, path, pinned, fixture_mode=False):
         findings += rule_clock_calls(rel, lines)
         findings += rule_raw_mutex(rel, lines)
         findings += rule_metric_names(rel, lines, pinned)
+        findings += rule_promise_settle(rel, lines)
     findings += rule_hot_atomics(rel, lines, raw)
     findings += rule_kernel_purity(rel, lines)
     return _apply_suppressions(lines, raw, findings)
